@@ -39,10 +39,10 @@ from .fem import (
 )
 from .modal import (
     ModalResult,
-    StructureError,
+    free_free_result,
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
-    rigid_body_count,
+    planar_standard_form,
     select_modes,
     solve_generalized_eigen,
 )
@@ -50,8 +50,6 @@ from .objective import ObjectiveKind, ObjectiveValue, aic, residuals, sse
 from .records import RankingEntry, RunRecord, sort_ranking
 from .swarm import SwarmConfig, Particle
 from . import swarm as swarm_engine
-
-_EXPECTED_RIGID_MODES = 6
 
 
 class ConfigError(Exception):
@@ -92,7 +90,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.preset is not None:
-            if self.preset not in PRESETS:
+            if isinstance(self.preset, bool) or self.preset not in PRESETS:
                 raise ConfigValidationError("preset", f"unknown preset {self.preset}")
             mode, kind = PRESETS[self.preset]
             if self.swarm.inertia_mode != mode:
@@ -171,7 +169,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     kwargs = dict(swarm_data)
     preset = data.get("preset")
     if preset is not None:
-        if not isinstance(preset, int) or preset not in PRESETS:
+        if isinstance(preset, bool) or not isinstance(preset, int) or preset not in PRESETS:
             raise ConfigValidationError("preset", f"unknown preset {preset}")
         mode, kind = PRESETS[preset]
         if kwargs.setdefault("inertia_mode", mode) != mode:
@@ -195,11 +193,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     emit = data.get("emit_mode_shapes", False)
     if not isinstance(emit, bool):
         raise ConfigValidationError("emit_mode_shapes", "emit_mode_shapes must be a boolean")
+    output_dir = data.get("output_dir", "runs")
+    if not isinstance(output_dir, str):
+        raise ConfigValidationError("output_dir", "output_dir must be a string")
 
     config = ExperimentConfig(
         swarm=swarm_config,
         preset=preset,
-        output_dir=Path(data.get("output_dir", "runs")),
+        output_dir=Path(output_dir),
         emit_mode_shapes=emit,
     )
     config.validate()
@@ -212,7 +213,10 @@ class ModelEvaluator:
     The global stiffness is linear in each element modulus (shear modulus
     scales with E at fixed Poisson ratio), so one unit-modulus stiffness
     per element is precomputed and a candidate's K is a weighted sum of
-    the stack. The mass matrix never changes.
+    the stack. The mass matrix never changes, so the unit stiffnesses are
+    also kept split into planar halves and whitened by the mass factors
+    (`planar_standard_form`); a candidate's spectrum is then a weighted
+    sum of that stack and two half-size standard eigenvalue solves.
     """
 
     def __init__(
@@ -248,9 +252,19 @@ class ModelEvaluator:
             self.material,
             self.section,
         ).m_global
+        self._whitened_stiffness = planar_standard_form(stack, self.m_global)
 
     def stiffness(self, moduli: np.ndarray) -> np.ndarray:
+        """Full global K, for the dense reference and mode shapes."""
         return np.tensordot(moduli, self._unit_stiffness, axes=1)
+
+    def spectrum(self, moduli: np.ndarray) -> ModalResult:
+        """Free-free frequencies at these element moduli by the planar
+        solve; StructureError unless six rigid-body modes appear."""
+        if not np.all(np.isfinite(moduli)):
+            raise ValueError("element moduli must be finite")
+        blocks = np.tensordot(moduli, self._whitened_stiffness, axes=1)
+        return free_free_result(generalized_eigenvalues(blocks))
 
     def evaluate(
         self,
@@ -258,21 +272,11 @@ class ModelEvaluator:
         position: np.ndarray,
         objective_kind: ObjectiveKind,
     ) -> ObjectiveValue:
-        """element moduli -> K -> eigenvalues -> measured-rank frequencies
-        -> residuals -> objective. Deterministic for identical inputs."""
+        """element moduli -> whitened K blocks -> eigenvalues ->
+        measured-rank frequencies -> residuals -> objective. Deterministic
+        for identical inputs."""
         moduli = element_modulus_vector(model, position)
-        k = self.stiffness(moduli)
-        eigenvalues = generalized_eigenvalues(k, self.m_global)
-        n_rigid = rigid_body_count(eigenvalues)
-        if n_rigid != _EXPECTED_RIGID_MODES:
-            raise StructureError(
-                f"expected {_EXPECTED_RIGID_MODES} rigid-body modes, found {n_rigid}"
-            )
-        result = ModalResult(
-            frequencies_hz=frequencies_from_eigenvalues(eigenvalues),
-            rigid_body_count=n_rigid,
-        )
-        fem_frequencies = select_modes(result, self.measured)
+        fem_frequencies = select_modes(self.spectrum(moduli), self.measured)
         r = residuals(self.measured, fem_frequencies)
         if objective_kind == "AIC":
             return aic(r, model.d)
@@ -474,14 +478,11 @@ def describe(
         else:
             pos = np.asarray(position, dtype=float)
 
-        evaluator = _default_evaluator()
-        moduli = element_modulus_vector(model, pos)
-        eigenvalues = generalized_eigenvalues(evaluator.stiffness(moduli), evaluator.m_global)
-        n_rigid = rigid_body_count(eigenvalues)
-        frequencies = frequencies_from_eigenvalues(eigenvalues)
+        result = _default_evaluator().spectrum(element_modulus_vector(model, pos))
         lines = ["mode,frequency_hz,rigid_body"]
-        for i, freq in enumerate(frequencies):
-            lines.append(f"{i + 1},{_format_number(float(freq))},{1 if i < n_rigid else 0}")
+        for i, freq in enumerate(result.frequencies_hz):
+            rigid = 1 if i < result.rigid_body_count else 0
+            lines.append(f"{i + 1},{_format_number(float(freq))},{rigid}")
         return "\n".join(lines) + "\n"
 
     raise ValueError(f"unknown description target {what!r}")

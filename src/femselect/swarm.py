@@ -11,7 +11,8 @@ over the first half of the run (mode "adaptive").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -68,7 +69,23 @@ class SwarmConfig:
 
     def validate(self) -> None:
         """Raise ValueError naming the offending field on the first
-        violated constraint."""
+        violated constraint. Types are checked first: integer fields take
+        integers, real fields finite reals, and a bool is neither."""
+        # Annotations are strings here (postponed evaluation).
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{f.name} must be an integer")
+            if f.type == "float" and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{f.name} must be a finite number")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a boolean")
         if self.c1 < 0:
             raise ValueError("c1 must be non-negative")
         if self.c2 < 0:

@@ -4,8 +4,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import straight_beam_geometry
-from femselect.fem import GlobalSystem, assemble
+from conftest import (
+    NOMINAL_AIC,
+    NOMINAL_SIGMA_SQUARED,
+    NOMINAL_SSE,
+    straight_beam_geometry,
+)
+from femselect import runner
+from femselect.fem import ElementMatrices, GlobalSystem, assemble
 from femselect.modal import (
     RIGID_BODY_RATIO,
     ConvergenceError,
@@ -17,6 +23,8 @@ from femselect.modal import (
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
     natural_frequencies,
+    planar_dof_split,
+    planar_standard_form,
     rigid_body_count,
     select_modes,
     solve_generalized_eigen,
@@ -96,7 +104,8 @@ class TestSolver:
 
     def test_fast_path_matches_full_solve(self, h_system):
         full, _ = solve_generalized_eigen(h_system.k_global, h_system.m_global)
-        fast = generalized_eigenvalues(h_system.k_global, h_system.m_global)
+        blocks = planar_standard_form(h_system.k_global[None], h_system.m_global)[0]
+        fast = generalized_eigenvalues(blocks)
         # elastic eigenvalues agree tightly; the rigid cluster is roundoff
         # noise in both drivers, so only its magnitude is checked
         np.testing.assert_allclose(fast[6:], full[6:], rtol=1e-10)
@@ -133,6 +142,146 @@ class TestSolver:
         residual = k @ vectors - (m @ vectors) * eigenvalues
         k_phi_norm = np.linalg.norm(k @ vectors, axis=0)
         assert np.all(np.linalg.norm(residual, axis=0) <= 1e-9 * k_phi_norm)
+
+
+class TestPlanarSplit:
+    def test_split_partitions_the_dofs(self):
+        in_plane, out_of_plane = planar_dof_split(78)
+        assert in_plane.size == out_of_plane.size == 39
+        assert set(in_plane % 6) == {0, 1, 5}
+        assert set(out_of_plane % 6) == {2, 3, 4}
+        assert sorted(np.concatenate([in_plane, out_of_plane]).tolist()) == list(range(78))
+
+    def test_h_frame_halves_are_exactly_uncoupled(self, h_system):
+        in_plane, out_of_plane = planar_dof_split(78)
+        for matrix in (h_system.k_global, h_system.m_global):
+            assert np.all(matrix[np.ix_(in_plane, out_of_plane)] == 0.0)
+
+    def test_each_half_keeps_three_rigid_modes(self, h_system):
+        blocks = planar_standard_form(h_system.k_global[None], h_system.m_global)[0]
+        spectrum = generalized_eigenvalues(blocks)
+        threshold = RIGID_BODY_RATIO * spectrum[6]
+        for block in blocks:
+            assert int(np.sum(np.linalg.eigvalsh(block) < threshold)) == 3
+
+    def test_coupled_mass_rejected(self, h_system):
+        m = h_system.m_global.copy()
+        m[0, 2] = m[2, 0] = 1e-6
+        with pytest.raises(StructureError):
+            planar_standard_form(h_system.k_global[None], m)
+
+    def test_coupled_stiffness_rejected(self, h_system):
+        k = h_system.k_global.copy()
+        k[5, 4] = k[4, 5] = 1.0
+        with pytest.raises(StructureError):
+            planar_standard_form(k[None], h_system.m_global)
+
+    def test_evaluator_rejects_coupled_mass(self, monkeypatch):
+        real_assemble = runner.assemble
+
+        def coupled_assemble(*args):
+            system = real_assemble(*args)
+            m = system.m_global.copy()
+            m[6, 9] = m[9, 6] = 1e-9
+            return GlobalSystem(k_global=system.k_global, m_global=m, dof_map=system.dof_map)
+
+        monkeypatch.setattr(runner, "assemble", coupled_assemble)
+        with pytest.raises(StructureError):
+            runner.ModelEvaluator()
+
+    def test_evaluator_rejects_coupled_stiffness(self, monkeypatch):
+        real_transform = runner.transform_to_global
+
+        def coupled_transform(local, frame):
+            mats = real_transform(local, frame)
+            k = mats.stiffness.copy()
+            k[0, 2] = k[2, 0] = 1e-9
+            return ElementMatrices(stiffness=k, mass=mats.mass)
+
+        monkeypatch.setattr(runner, "transform_to_global", coupled_transform)
+        with pytest.raises(StructureError):
+            runner.ModelEvaluator()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_evaluator_rejects_non_finite_moduli(self, evaluator, bad):
+        moduli = np.full(12, 7.2e10)
+        moduli[3] = bad
+        with pytest.raises(ValueError):
+            evaluator.spectrum(moduli)
+
+    def test_evaluator_spectrum_matches_dense_solve(self, evaluator, h_system):
+        planar = evaluator.spectrum(np.full(12, 7.2e10))
+        dense = natural_frequencies(h_system)
+        assert planar.rigid_body_count == 6
+        np.testing.assert_allclose(planar.frequencies_hz[6:], dense.frequencies_hz[6:], rtol=1e-10)
+
+
+class TestMpmathReference:
+    """Both float64 paths against a 40-digit solve of the nominal pair.
+
+    The reference takes the evaluator's float64 K and M as exact inputs,
+    splits them by DOF residue (computed here, not by the code under
+    test), and solves each 39x39 half in mpmath: Cholesky of the mass
+    block, explicit whitening, Jacobi eigenvalues. About 2 s.
+    """
+
+    @pytest.fixture(scope="class")
+    def reference(self, evaluator):
+        mpmath = pytest.importorskip("mpmath")
+        k = evaluator.stiffness(np.full(12, 7.2e10))
+        m = evaluator.m_global
+        in_plane = [i for i in range(78) if i % 6 in (0, 1, 5)]
+        out_of_plane = [i for i in range(78) if i % 6 not in (0, 1, 5)]
+        assert np.all(k[np.ix_(in_plane, out_of_plane)] == 0.0)
+        assert np.all(m[np.ix_(in_plane, out_of_plane)] == 0.0)
+        with mpmath.workdps(40):
+            eigenvalues = []
+            for dofs in (in_plane, out_of_plane):
+                k_half = mpmath.matrix(k[np.ix_(dofs, dofs)].tolist())
+                l_inv = mpmath.inverse(mpmath.cholesky(mpmath.matrix(m[np.ix_(dofs, dofs)].tolist())))
+                values = mpmath.eigsy(l_inv * k_half * l_inv.T, eigvals_only=True)
+                eigenvalues.extend(values[i] for i in range(len(dofs)))
+            eigenvalues.sort()
+            yield mpmath, eigenvalues
+
+    @staticmethod
+    def _worst_relative_error(mpmath, computed, reference, ranks):
+        return max(
+            float(abs(mpmath.mpf(float(computed[r - 1])) / reference[r - 1] - 1)) for r in ranks
+        )
+
+    def test_elastic_ranks_of_both_paths(self, reference, evaluator):
+        # Measured worst relative eigenvalue errors over ranks 7-13 on
+        # OpenBLAS 0.3.31 (Haswell kernels): planar 3.1e-12, dense 1.5e-11.
+        mpmath, exact = reference
+        moduli = np.full(12, 7.2e10)
+        system = GlobalSystem(
+            k_global=evaluator.stiffness(moduli),
+            m_global=evaluator.m_global,
+            dof_map=np.arange(78).reshape(13, 6),
+        )
+        planar = (2.0 * np.pi * evaluator.spectrum(moduli).frequencies_hz) ** 2
+        dense = (2.0 * np.pi * natural_frequencies(system).frequencies_hz) ** 2
+        ranks = range(7, 14)
+        assert self._worst_relative_error(mpmath, planar, exact, ranks) <= 5e-12
+        assert self._worst_relative_error(mpmath, dense, exact, ranks) <= 2e-11
+
+    def test_pinned_nominal_objective(self, reference, measured):
+        mpmath, exact = reference
+        with mpmath.workdps(40):
+            residuals = [
+                mpmath.mpf(float(f)) - mpmath.sqrt(exact[r - 1]) / (2 * mpmath.pi)
+                for f, r in zip(measured.frequencies_hz, measured.mode_indices)
+            ]
+            total = mpmath.fsum(r * r for r in residuals)
+            sse = total / 2
+            sigma_squared = total / len(residuals)
+            aic = len(residuals) * mpmath.log(sigma_squared) + 2
+        # A last-bit change in the float64 K moves the reference itself:
+        # the element-loop K of fem.assemble gives an SSE 1.9e-13 away.
+        assert float(sse) == pytest.approx(NOMINAL_SSE, rel=2e-13)
+        assert float(sigma_squared) == pytest.approx(NOMINAL_SIGMA_SQUARED, rel=2e-13)
+        assert float(aic) == pytest.approx(NOMINAL_AIC, rel=2e-13)
 
 
 class TestFrequencies:
@@ -225,13 +374,10 @@ class TestConfig:
     def test_defaults(self):
         config = EigenSolveConfig()
         assert config.residual_tolerance == 1e-9
-        assert config.max_iterations == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
             EigenSolveConfig(residual_tolerance=0.0)
-        with pytest.raises(ValueError):
-            EigenSolveConfig(max_iterations=0)
 
     def test_ratio_constant(self):
         assert RIGID_BODY_RATIO == 1e-6

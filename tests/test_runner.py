@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import NOMINAL_AIC, NOMINAL_SIGMA_SQUARED, NOMINAL_SSE
 from femselect.cli import main
 from femselect.records import RankingEntry, sort_ranking
 from femselect.runner import (
@@ -174,6 +175,44 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"seed": 4, "swarm": {"seed": 4}})
         assert load_config(path).swarm.seed == 4
 
+    def test_boolean_preset_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"preset": True})
+        with pytest.raises(ConfigValidationError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key == "preset"
+
+    def test_string_iteration_count_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"swarm": {"n_iterations": "5"}})
+        with pytest.raises(ConfigValidationError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key == "n_iterations"
+
+    def test_fractional_seed_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"seed": 1.5})
+        with pytest.raises(ConfigValidationError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key == "seed"
+
+    def test_infinite_init_std_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"swarm": {"init_std": Infinity}}')
+        with pytest.raises(ConfigValidationError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key == "init_std"
+
+    def test_nan_coefficient_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"swarm": {"c1": NaN}}')
+        with pytest.raises(ConfigValidationError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key == "c1"
+
+    def test_output_dir_must_be_string(self, tmp_path):
+        path = write_config(tmp_path, {"output_dir": 7})
+        with pytest.raises(ConfigValidationError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key == "output_dir"
+
     def test_emit_mode_shapes_must_be_boolean(self, tmp_path):
         path = write_config(tmp_path, {"emit_mode_shapes": 1})
         with pytest.raises(ConfigValidationError) as excinfo:
@@ -188,14 +227,17 @@ class TestEvaluateModel:
         b = evaluate_model(catalog[1], position, "AIC")
         assert a.value == b.value
 
+    # Goldens from the 40-digit reference (conftest). Tolerances are the
+    # larger measured error of the two float64 paths: SSE 1.6e-12 planar
+    # and 4.9e-12 dense, AIC 3.0e-13 planar and 9.5e-13 dense.
     def test_sse_golden_at_nominal(self, catalog):
         out = evaluate_model(catalog[0], np.full(5, 7.2e10), "SSE")
-        assert out.value == pytest.approx(290.1974117620762, rel=1e-12)
-        assert out.sigma_squared == pytest.approx(116.07896470483047, rel=1e-12)
+        assert out.value == pytest.approx(NOMINAL_SSE, rel=5e-12)
+        assert out.sigma_squared == pytest.approx(NOMINAL_SIGMA_SQUARED, rel=5e-12)
 
     def test_aic_golden_at_nominal(self, catalog):
         out = evaluate_model(catalog[0], np.full(5, 7.2e10), "AIC")
-        assert out.value == pytest.approx(25.771353448643538, rel=1e-12)
+        assert out.value == pytest.approx(NOMINAL_AIC, rel=1e-12)
 
     def test_parameter_penalty_separates_nested_models(self, catalog):
         uniform = np.full(5, 7.2e10)
@@ -444,6 +486,30 @@ class TestCli:
         parsed = json.loads((out_dir / "result.json").read_text())
         assert parsed["seed"] == 6
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"preset": true, "swarm": {"n_iterations": 2}}',
+            '{"swarm": {"n_iterations": "5"}}',
+            '{"seed": 1.5, "swarm": {"n_iterations": 2}}',
+            '{"swarm": {"n_iterations": 2, "init_std": Infinity}}',
+            '{"swarm": {"n_iterations": 2, "c1": NaN}}',
+        ],
+    )
+    def test_malformed_config_values_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_describe_non_finite_position_exits_two(self, capsys):
+        code = main(["describe", "modal", "--model", "1", "--position", "nan,7e10,7e10,7e10,7e10"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_output_collision_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

@@ -103,6 +103,31 @@ class TestSwarmConfig:
             config.validate()
         assert str(excinfo.value).split()[0] == field
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("c1", math.nan),
+            ("v_max", math.inf),
+            ("init_std", math.inf),
+            ("m_min", -math.inf),
+            ("w_start", "1.2"),
+            ("c2", True),
+            ("n_iterations", "5"),
+            ("n_iterations", 5.0),
+            ("n_particles", True),
+            ("seed", 1.5),
+            ("legacy_inertia_decrement", 1),
+        ],
+    )
+    def test_validate_rejects_wrong_type_or_non_finite(self, field, value):
+        config = dataclasses.replace(SwarmConfig(), **{field: value})
+        with pytest.raises(ValueError) as excinfo:
+            config.validate()
+        assert str(excinfo.value).split()[0] == field
+
+    def test_validate_accepts_numpy_scalars(self):
+        SwarmConfig(c1=np.float64(1.5), seed=np.int64(3), n_iterations=np.int32(4)).validate()
+
     def test_inertia_none_skips_weight_constraints(self):
         SwarmConfig(inertia_mode="none", w_f=0.0, w_end=5.0).validate()
 
