@@ -52,10 +52,9 @@ from .runner import (
     evaluate_model,
     load_config,
     preset_config,
-    rank_models,
     run_experiment,
 )
-from .swarm import Particle, RngStream, SwarmConfig, SwarmState
+from .swarm import RngStream, SwarmConfig, SwarmState
 
 __version__ = "0.1.0"
 
@@ -78,7 +77,6 @@ __all__ = [
     "ModelEvaluator",
     "ModelSpec",
     "ObjectiveValue",
-    "Particle",
     "RankingEntry",
     "RngStream",
     "RunRecord",
@@ -99,7 +97,6 @@ __all__ = [
     "natural_frequencies",
     "nominal_material",
     "preset_config",
-    "rank_models",
     "residuals",
     "run_experiment",
     "select_modes",

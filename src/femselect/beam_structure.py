@@ -8,7 +8,7 @@ is a point (or manifold) in a five-dimensional modulus search space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -207,6 +207,8 @@ class ModelSpec:
     model_id: int
     groups: tuple[frozenset[int], ...]
     d: int
+    # The search dimension that feeds each element, in element-id order.
+    element_dims: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d != len(self.groups):
@@ -218,6 +220,11 @@ class ModelSpec:
             all_ids |= group
         if all_ids != set(range(1, ELEMENT_COUNT + 1)):
             raise ValueError("groups must partition element ids 1..12")
+        dims = np.empty(ELEMENT_COUNT, dtype=np.intp)
+        for j, group in enumerate(self.groups):
+            dims[[element_id - 1 for element_id in group]] = j
+        dims.setflags(write=False)
+        object.__setattr__(self, "element_dims", dims)
 
 
 _CATALOG_GROUPS: list[tuple[set[int], ...]] = [
@@ -258,11 +265,7 @@ def element_modulus_vector(model: ModelSpec, position: np.ndarray) -> np.ndarray
     active = position[: model.d]
     if np.any(active <= 0.0):
         raise ValueError("active position dimensions must be positive moduli")
-    moduli = np.empty(ELEMENT_COUNT)
-    for j, group in enumerate(model.groups):
-        for element_id in group:
-            moduli[element_id - 1] = position[j]
-    return moduli
+    return position[model.element_dims]
 
 
 @dataclass(frozen=True)

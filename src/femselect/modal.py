@@ -81,14 +81,16 @@ def _require_positive_definite(m: np.ndarray) -> None:
         raise DecompositionError(f"mass matrix is not positive definite: {exc}") from exc
 
 
-def rigid_body_count(eigenvalues: np.ndarray) -> int:
+def rigid_body_count(eigenvalues: np.ndarray) -> int | np.ndarray:
     """Modes whose eigenvalue falls below RIGID_BODY_RATIO times the
-    seventh-smallest eigenvalue. Zero when fewer than seven modes exist."""
+    seventh-smallest eigenvalue. Zero when fewer than seven modes exist.
+    A (P, n) stack of ascending spectra gives a (P,) array of counts."""
     eigenvalues = np.asarray(eigenvalues)
-    if eigenvalues.size < _EXPECTED_RIGID_MODES + 1:
-        return 0
-    threshold = RIGID_BODY_RATIO * eigenvalues[_EXPECTED_RIGID_MODES]
-    return int(np.sum(eigenvalues < threshold))
+    if eigenvalues.shape[-1] < _EXPECTED_RIGID_MODES + 1:
+        return 0 if eigenvalues.ndim == 1 else np.zeros(eigenvalues.shape[0], dtype=int)
+    threshold = RIGID_BODY_RATIO * eigenvalues[..., _EXPECTED_RIGID_MODES]
+    counts = np.sum(eigenvalues < threshold[..., None], axis=-1)
+    return int(counts) if eigenvalues.ndim == 1 else counts
 
 
 def solve_generalized_eigen(
@@ -182,18 +184,37 @@ def planar_standard_form(k_stack: np.ndarray, m: np.ndarray) -> np.ndarray:
 def generalized_eigenvalues(blocks: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a planar pair from its standard-form
     blocks (2, n, n), as made by `planar_standard_form`; the fast path
-    for fitness evaluations."""
+    for fitness evaluations. A (P, 2, n, n) stack of pairs is solved in
+    one call and gives (P, 2n); the solve of each block does not depend
+    on the stack around it."""
     try:
         per_block = np.linalg.eigvalsh(blocks)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"planar symmetric solver did not converge: {exc}") from exc
-    return np.sort(per_block, axis=None, kind="stable")
+    merged = per_block.reshape(*per_block.shape[:-2], -1)
+    return np.sort(merged, axis=-1, kind="stable")
 
 
 def frequencies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     """sqrt(max(lambda, 0)) / 2 pi; roundoff negatives in the rigid cluster
     clamp to zero Hz."""
     return np.sqrt(np.clip(eigenvalues, 0.0, None)) / (2.0 * np.pi)
+
+
+def free_free_frequencies(
+    eigenvalues: np.ndarray,
+) -> tuple[np.ndarray, dict[int, StructureError]]:
+    """Frequencies of a (P, n) stack of ascending free-free spectra, with
+    a StructureError for each row that does not show exactly six
+    rigid-body modes."""
+    counts = rigid_body_count(eigenvalues)
+    errors = {
+        int(i): StructureError(
+            f"expected {_EXPECTED_RIGID_MODES} rigid-body modes, found {counts[i]}"
+        )
+        for i in np.flatnonzero(counts != _EXPECTED_RIGID_MODES)
+    }
+    return frequencies_from_eigenvalues(eigenvalues), errors
 
 
 def free_free_result(
@@ -203,14 +224,12 @@ def free_free_result(
 
     Raises StructureError unless exactly six rigid-body modes are present.
     """
-    n_rigid = rigid_body_count(eigenvalues)
-    if n_rigid != _EXPECTED_RIGID_MODES:
-        raise StructureError(
-            f"expected {_EXPECTED_RIGID_MODES} rigid-body modes, found {n_rigid}"
-        )
+    frequencies, errors = free_free_frequencies(np.asarray(eigenvalues)[None])
+    if errors:
+        raise errors[0]
     return ModalResult(
-        frequencies_hz=frequencies_from_eigenvalues(eigenvalues),
-        rigid_body_count=n_rigid,
+        frequencies_hz=frequencies[0],
+        rigid_body_count=_EXPECTED_RIGID_MODES,
         mode_shapes=mode_shapes,
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +20,7 @@ import numpy as np
 
 from .beam_structure import (
     ELEMENT_COUNT,
+    SEARCH_DIMS,
     BeamGeometry,
     CrossSection,
     Material,
@@ -31,24 +33,28 @@ from .beam_structure import (
     model_catalog,
     nominal_material,
 )
-from .fem import (
+# `assemble` is not called here; the benchmark tracer patches it by this
+# name, so it stays importable from this module.
+from .fem import (  # noqa: F401
     assemble,
     beam_element_matrices,
     element_dof_indices,
     transform_to_global,
 )
 from .modal import (
+    ConvergenceError,
+    EigenSolveError,
     ModalResult,
+    free_free_frequencies,
     free_free_result,
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
     planar_standard_form,
-    select_modes,
     solve_generalized_eigen,
 )
 from .objective import ObjectiveKind, ObjectiveValue, aic, residuals, sse
-from .records import RankingEntry, RunRecord, sort_ranking
-from .swarm import SwarmConfig, Particle
+from .records import RunRecord
+from .swarm import SwarmConfig
 from . import swarm as swarm_engine
 
 
@@ -216,7 +222,8 @@ class ModelEvaluator:
     the stack. The mass matrix never changes, so the unit stiffnesses are
     also kept split into planar halves and whitened by the mass factors
     (`planar_standard_form`); a candidate's spectrum is then a weighted
-    sum of that stack and two half-size standard eigenvalue solves.
+    sum of that stack and two half-size standard eigenvalue solves. A
+    batch of candidates shares one eigenvalue call.
     """
 
     def __init__(
@@ -232,7 +239,12 @@ class ModelEvaluator:
         self.measured = measured if measured is not None else measured_data()
 
         n = self.geometry.n_dofs
+        if max(self.measured.mode_indices) > n:
+            raise ValueError(f"need at least {max(self.measured.mode_indices)} modes, got {n}")
         stack = np.zeros((ELEMENT_COUNT, n, n))
+        # The mass does not depend on the modulus; summed in element order
+        # it equals `assemble(...).m_global` exactly.
+        m_global = np.zeros((n, n))
         unit_shear = self.material.shear_modulus(1.0)
         for element in self.geometry.elements:
             local = beam_element_matrices(
@@ -243,28 +255,87 @@ class ModelEvaluator:
                 length=self.geometry.element_length(element),
             )
             global_mats = transform_to_global(local, element.frame)
-            idx = element_dof_indices(element.node_a, element.node_b)
-            stack[element.element_id - 1][np.ix_(idx, idx)] = global_mats.stiffness
+            dofs = element_dof_indices(element.node_a, element.node_b)
+            idx = np.ix_(dofs, dofs)
+            stack[element.element_id - 1][idx] = global_mats.stiffness
+            m_global[idx] += global_mats.mass
         self._unit_stiffness = stack
-        self.m_global = assemble(
-            self.geometry,
-            np.full(ELEMENT_COUNT, self.material.youngs_modulus_mean),
-            self.material,
-            self.section,
-        ).m_global
-        self._whitened_stiffness = planar_standard_form(stack, self.m_global)
+        self.m_global = m_global
+        self._whitened_stiffness = planar_standard_form(stack, m_global)
+        self._ranks = np.asarray(self.measured.mode_indices) - 1
 
     def stiffness(self, moduli: np.ndarray) -> np.ndarray:
         """Full global K, for the dense reference and mode shapes."""
         return np.tensordot(moduli, self._unit_stiffness, axes=1)
 
+    def _eigenvalues(self, moduli: np.ndarray) -> tuple[np.ndarray, dict[int, EigenSolveError]]:
+        """Ascending planar spectra of (P, 12) element moduli, one row each,
+        from one eigenvalue call; nan rows for the errors returned."""
+        if not np.all(np.isfinite(moduli)):
+            raise ValueError("element moduli must be finite")
+        whitened = self._whitened_stiffness
+        flat = whitened.reshape(ELEMENT_COUNT, -1)
+        blocks = np.empty((len(moduli), flat.shape[1]))
+        # One vector-matrix product per row: a single (P, 12) @ (12, N)
+        # product rounds differently, and scores must not depend on P.
+        for i, row in enumerate(moduli):
+            blocks[i] = row @ flat
+        blocks = blocks.reshape(len(moduli), *whitened.shape[1:])
+        try:
+            return generalized_eigenvalues(blocks), {}
+        except ConvergenceError:
+            pass
+        # One failed block fails the whole stack: solve each pair again to
+        # charge the failure to its own row.
+        eigenvalues = np.full((len(moduli), 2 * whitened.shape[-1]), math.nan)
+        errors: dict[int, EigenSolveError] = {}
+        for i, pair in enumerate(blocks):
+            try:
+                eigenvalues[i] = generalized_eigenvalues(pair)
+            except ConvergenceError as exc:
+                errors[i] = exc
+        return eigenvalues, errors
+
     def spectrum(self, moduli: np.ndarray) -> ModalResult:
         """Free-free frequencies at these element moduli by the planar
         solve; StructureError unless six rigid-body modes appear."""
-        if not np.all(np.isfinite(moduli)):
-            raise ValueError("element moduli must be finite")
-        blocks = np.tensordot(moduli, self._whitened_stiffness, axes=1)
-        return free_free_result(generalized_eigenvalues(blocks))
+        eigenvalues, errors = self._eigenvalues(np.asarray(moduli, dtype=float)[None])
+        if errors:
+            raise errors[0]
+        return free_free_result(eigenvalues[0])
+
+    def evaluate_batch(
+        self,
+        models: Sequence[ModelSpec],
+        positions: np.ndarray,
+        objective_kind: ObjectiveKind,
+    ) -> tuple[ObjectiveValue, dict[int, EigenSolveError]]:
+        """Score row i of the (P, 5) positions as models[i]: element
+        moduli -> whitened K blocks -> eigenvalues -> measured-rank
+        frequencies -> residuals -> objective, with one eigenvalue call
+        for all rows. Returns the scores as (P,) arrays and the
+        eigensolver error of each failed row, whose score is nan. Invalid
+        positions raise ValueError. A row's score does not depend on the
+        other rows."""
+        positions = np.asarray(positions, dtype=float)
+        if positions.shape != (len(models), SEARCH_DIMS):
+            raise ValueError(f"positions must have shape ({len(models)}, {SEARCH_DIMS})")
+        d = np.array([model.d for model in models])
+        if np.any(positions[np.arange(SEARCH_DIMS) < d[:, None]] <= 0.0):
+            raise ValueError("active position dimensions must be positive moduli")
+        element_dims = np.stack([model.element_dims for model in models])
+        moduli = np.take_along_axis(positions, element_dims, axis=1)
+
+        eigenvalues, errors = self._eigenvalues(moduli)
+        frequencies, structure_errors = free_free_frequencies(eigenvalues)
+        errors = {**structure_errors, **errors}
+        r = residuals(self.measured, frequencies[:, self._ranks])
+        score = aic(r, d) if objective_kind == "AIC" else sse(r, d)
+        if errors:
+            failed = list(errors)
+            score.value[failed] = math.nan
+            score.sigma_squared[failed] = math.nan
+        return score, errors
 
     def evaluate(
         self,
@@ -272,15 +343,19 @@ class ModelEvaluator:
         position: np.ndarray,
         objective_kind: ObjectiveKind,
     ) -> ObjectiveValue:
-        """element moduli -> whitened K blocks -> eigenvalues ->
-        measured-rank frequencies -> residuals -> objective. Deterministic
-        for identical inputs."""
-        moduli = element_modulus_vector(model, position)
-        fem_frequencies = select_modes(self.spectrum(moduli), self.measured)
-        r = residuals(self.measured, fem_frequencies)
-        if objective_kind == "AIC":
-            return aic(r, model.d)
-        return sse(r, model.d)
+        """One candidate's score: `evaluate_batch` with a single row.
+        Deterministic for identical inputs."""
+        score, errors = self.evaluate_batch(
+            (model,), np.asarray(position, dtype=float)[None], objective_kind
+        )
+        if errors:
+            raise errors[0]
+        return dataclasses.replace(
+            score,
+            value=float(score.value[0]),
+            sigma_squared=float(score.sigma_squared[0]),
+            d=model.d,
+        )
 
 
 _shared_evaluator: ModelEvaluator | None = None
@@ -387,6 +462,18 @@ def render_result_json(config: ExperimentConfig, record: RunRecord) -> str:
     return _to_json(payload) + "\n"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then move it into
+    place: a reader sees the old file or the whole new one, never a part."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_mode_shapes(path: Path, evaluator: ModelEvaluator, record: RunRecord) -> None:
     """Eigenvectors of the winning model at its best position, first 13
     modes, one mode per row."""
@@ -405,7 +492,7 @@ def _write_mode_shapes(path: Path, evaluator: ModelEvaluator, record: RunRecord)
         parts = [str(mode + 1), _format_number(float(frequencies[mode]))]
         parts.extend(_format_number(float(x)) for x in eigenvectors[:, mode])
         lines.append(",".join(parts))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
@@ -415,24 +502,19 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     evaluator = ModelEvaluator()
     kind = config.swarm.objective_kind
 
-    def fitness(p: Particle) -> ObjectiveValue:
-        return evaluator.evaluate(p.model, p.position, kind)
+    def fitness(models, positions):
+        score, errors = evaluator.evaluate_batch(models, positions, kind)
+        return score.value, errors
 
     record = swarm_engine.run(config.swarm, fitness)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "convergence.csv").write_text(render_convergence_csv(record), newline="\n")
-    (out / "result.json").write_text(render_result_json(config, record), newline="\n")
+    _write_atomic(out / "convergence.csv", render_convergence_csv(record))
+    _write_atomic(out / "result.json", render_result_json(config, record))
     if config.emit_mode_shapes:
         _write_mode_shapes(out / "mode_shapes.csv", evaluator, record)
     return record
-
-
-def rank_models(record: RunRecord) -> tuple[RankingEntry, ...]:
-    """Models best-first by final personal-best fitness, ties broken by
-    fewer parameters, then lower model id."""
-    return sort_ranking(record.ranking)
 
 
 def describe(

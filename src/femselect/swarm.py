@@ -3,7 +3,9 @@
 Eight particles, one per model in the catalog, share a 5-dimensional
 search space. A particle only "owns" its first `model.d` coordinates;
 the remaining ones are carried through every update but never reach the
-fitness function. Velocity and position are clamped each iteration, and
+fitness function. The swarm state is a set of arrays with one row per
+particle, and every iteration scores all particles with one batched
+fitness call. Velocity and position are clamped each iteration, and
 the inertia weight either stays at 1 (mode "none") or decays linearly
 over the first half of the run (mode "adaptive").
 """
@@ -12,14 +14,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Literal, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
 from .beam_structure import SEARCH_DIMS, ModelSpec, model_catalog
 from .modal import EigenSolveError
-from .objective import ObjectiveKind, ObjectiveValue
+from .objective import ObjectiveKind
 from .records import (
     ConvergenceRow,
     EvaluationFailure,
@@ -29,12 +31,6 @@ from .records import (
 )
 
 InertiaMode = Literal["none", "adaptive"]
-
-
-def _frozen_array(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -103,6 +99,9 @@ class SwarmConfig:
                 raise ValueError("w_end must not exceed w_start")
             if self.w_end < 0:
                 raise ValueError("w_end must be non-negative")
+            if self.legacy_inertia_decrement and self.n_iterations <= self.w_f:
+                # The legacy decrement divides by n_iterations - w_f.
+                raise ValueError("w_f must be below n_iterations for the legacy decrement")
         if not self.m_min < self.m_max:
             raise ValueError("m_min must be below m_max")
         if not 0.0 < self.v_min < self.v_max:
@@ -116,41 +115,51 @@ class SwarmConfig:
 
 
 @dataclass(frozen=True)
-class Particle:
-    """One candidate model's search state. Arrays are read-only; updates
-    go through dataclasses.replace."""
+class SwarmState:
+    """The swarm after `iteration` steps. Row i of every array belongs to
+    the particle searching for `models[i]`; the arrays are made read-only.
 
-    model: ModelSpec
+    `pbest_fitness` is nan until the particle first scores. `gbest` is the
+    row whose personal best is the global best.
+    """
+
+    models: tuple[ModelSpec, ...]
     position: np.ndarray
     velocity: np.ndarray
     pbest_position: np.ndarray
-    pbest_fitness: ObjectiveValue | None
-    active_dims: int
-
-    def __post_init__(self) -> None:
-        for name in ("position", "velocity", "pbest_position"):
-            arr = _frozen_array(getattr(self, name))
-            if arr.shape != (SEARCH_DIMS,):
-                raise ValueError(f"{name} must be a {SEARCH_DIMS}-vector")
-            object.__setattr__(self, name, arr)
-        if self.active_dims != self.model.d:
-            raise ValueError("active_dims must equal the model's d")
-
-
-@dataclass(frozen=True)
-class SwarmState:
-    particles: tuple[Particle, ...]
-    gbest_position: np.ndarray
-    gbest_fitness: ObjectiveValue
-    gbest_model_id: int
+    pbest_fitness: np.ndarray
+    gbest: int
     iteration: int
-    w_current: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gbest_position", _frozen_array(self.gbest_position))
+        rows = (len(self.models), SEARCH_DIMS)
+        for name in ("position", "velocity", "pbest_position", "pbest_fitness"):
+            arr = getattr(self, name)
+            expected = rows[:1] if name == "pbest_fitness" else rows
+            if arr.shape != expected:
+                raise ValueError(f"{name} must have shape {expected}")
+            arr.setflags(write=False)
+
+    @property
+    def gbest_position(self) -> np.ndarray:
+        return self.pbest_position[self.gbest]
+
+    @property
+    def gbest_fitness(self) -> float:
+        return float(self.pbest_fitness[self.gbest])
+
+    @property
+    def gbest_model_id(self) -> int:
+        return self.models[self.gbest].model_id
 
 
-FitnessFn = Callable[[Particle], ObjectiveValue]
+# Scores a (P, 5) stack of positions, row i for models[i]. Returns the
+# (P,) objective values and, keyed by row, the eigensolver error of every
+# row that failed (its value is ignored). Any other exception aborts.
+FitnessFn = Callable[
+    [Sequence[ModelSpec], np.ndarray],
+    tuple[np.ndarray, Mapping[int, EigenSolveError]],
+]
 
 
 @dataclass
@@ -180,9 +189,11 @@ class RngStream:
     def signs(self, n: int) -> np.ndarray:
         return np.where(self._rng.random(n) < 0.5, -1.0, 1.0)
 
-    def uniform_pairs(self) -> np.ndarray:
-        """(r1, r2) for each dimension of one particle, shape (5, 2)."""
-        return self._rng.random((SEARCH_DIMS, 2))
+    def uniform_pairs(self, n_particles: int) -> np.ndarray:
+        """(r1, r2) for each dimension of each particle, shape (P, 5, 2).
+        One draw fills particle by particle, so it equals P draws of
+        shape (5, 2) in particle order."""
+        return self._rng.random((n_particles, SEARCH_DIMS, 2))
 
 
 def inertia_schedule(config: SwarmConfig, iteration: int) -> float:
@@ -216,77 +227,36 @@ def clamp_velocity(raw: np.ndarray, v_min: float, v_max: float) -> np.ndarray:
     return np.where(np.abs(clipped) < v_min, sign * v_min, clipped)
 
 
-def update_velocity(
-    p: Particle,
-    gbest_position: np.ndarray,
-    w: float,
-    c1: float,
-    c2: float,
-    rng: RngStream,
-    *,
-    v_max: float = 2.0e10,
-    v_min: float = 1.0e9,
-) -> np.ndarray:
-    """One velocity step: inertia plus cognitive and social attraction,
-    fresh r1, r2 per dimension, then clamping. All 5 dimensions move,
-    including ones the particle's model never evaluates."""
-    draws = rng.uniform_pairs()
-    r1 = draws[:, 0]
-    r2 = draws[:, 1]
-    raw = (
-        w * p.velocity
-        + c1 * r1 * (p.pbest_position - p.position)
-        + c2 * r2 * (np.asarray(gbest_position) - p.position)
-    )
-    return clamp_velocity(raw, v_min, v_max)
-
-
-def update_position(
-    p: Particle,
-    *,
-    m_min: float = 5.5e10,
-    m_max: float = 7.5e10,
-) -> np.ndarray:
-    """Advance the position by the already-updated velocity and clamp
-    every component into [m_min, m_max]."""
-    return np.clip(p.position + p.velocity, m_min, m_max)
-
-
 def _evaluate(
-    p: Particle,
+    models: tuple[ModelSpec, ...],
+    position: np.ndarray,
     iteration: int,
     fitness: FitnessFn,
     failures: list[EvaluationFailure] | None,
-) -> ObjectiveValue | None:
-    try:
-        return fitness(p)
-    except EigenSolveError as exc:
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batched fitness call: the values and a mask of the rows that
+    scored. Failures are logged in particle order."""
+    values, errors = fitness(models, position)
+    scored = np.ones(len(models), dtype=bool)
+    for i in sorted(errors):
+        scored[i] = False
         if failures is not None:
             failures.append(
                 EvaluationFailure(
                     iteration=iteration,
-                    model_id=p.model.model_id,
-                    reason=str(exc),
+                    model_id=models[i].model_id,
+                    reason=str(errors[i]),
                 )
             )
-        return None
+    return np.asarray(values, dtype=float), scored
 
 
-def _pick_gbest(
-    particles: Sequence[Particle],
-    current: tuple[np.ndarray, ObjectiveValue, int] | None,
-) -> tuple[np.ndarray, ObjectiveValue, int]:
-    """Strictly-improving scan over personal bests; on ties the earlier
-    particle keeps the title."""
-    best = current
-    for p in particles:
-        if p.pbest_fitness is None:
-            continue
-        if best is None or p.pbest_fitness.value < best[1].value:
-            best = (p.pbest_position, p.pbest_fitness, p.model.model_id)
-    if best is None:
+def _best_row(pbest_fitness: np.ndarray) -> int:
+    """The first row holding the lowest personal best."""
+    scored = np.flatnonzero(~np.isnan(pbest_fitness))
+    if scored.size == 0:
         raise RuntimeError("no particle produced a successful evaluation")
-    return best
+    return int(scored[np.argmin(pbest_fitness[scored])])
 
 
 def init_swarm(
@@ -299,39 +269,29 @@ def init_swarm(
     """Draw initial positions (normal around init_mean, clamped) and
     velocities (uniform magnitude, random sign) for the active dimensions
     of each model, evaluate everyone, and seed pbest/gbest."""
-    particles = []
-    for model in catalog:
+    models = tuple(catalog)
+    position = np.zeros((len(models), SEARCH_DIMS))
+    velocity = np.zeros((len(models), SEARCH_DIMS))
+    for i, model in enumerate(models):
         d = model.d
-        position = np.zeros(SEARCH_DIMS)
         q = rng.normals(d)
-        position[:d] = np.clip(
+        position[i, :d] = np.clip(
             config.init_mean + q * config.init_std, config.m_min, config.m_max
         )
-        velocity = np.zeros(SEARCH_DIMS)
         magnitudes = rng.magnitudes(d, config.v_min, config.v_max)
         signs = rng.signs(d)
-        velocity[:d] = signs * magnitudes
-        p = Particle(
-            model=model,
-            position=position,
-            velocity=velocity,
-            pbest_position=position,
-            pbest_fitness=None,
-            active_dims=d,
-        )
-        score = _evaluate(p, 0, fitness, failures)
-        if score is not None:
-            p = replace(p, pbest_fitness=score)
-        particles.append(p)
+        velocity[i, :d] = signs * magnitudes
 
-    gbest_position, gbest_fitness, gbest_model_id = _pick_gbest(particles, None)
+    values, scored = _evaluate(models, position, 0, fitness, failures)
+    pbest_fitness = np.where(scored, values, math.nan)
     return SwarmState(
-        particles=tuple(particles),
-        gbest_position=gbest_position,
-        gbest_fitness=gbest_fitness,
-        gbest_model_id=gbest_model_id,
+        models=models,
+        position=position,
+        velocity=velocity,
+        pbest_position=position,
+        pbest_fitness=pbest_fitness,
+        gbest=_best_row(pbest_fitness),
         iteration=0,
-        w_current=inertia_schedule(config, 0),
     )
 
 
@@ -346,76 +306,57 @@ def step(
 
     All particles move against the same frozen gbest, then evaluate, then
     personal bests update on strict improvement, and only afterwards does
-    the global best get recomputed. A fitness evaluation that raises an
-    eigensolver error leaves that particle's pbest untouched and logs the
-    failure; the swarm keeps going.
+    the global best get recomputed (a tie leaves it with its holder). A
+    row whose evaluation raised an eigensolver error keeps its pbest and
+    is logged; the swarm keeps going.
     """
-    w = state.w_current
-    moved = []
-    for p in state.particles:
-        velocity = update_velocity(
-            p,
-            state.gbest_position,
-            w,
-            config.c1,
-            config.c2,
-            rng,
-            v_max=config.v_max,
-            v_min=config.v_min,
-        )
-        p = replace(p, velocity=velocity)
-        p = replace(p, position=update_position(p, m_min=config.m_min, m_max=config.m_max))
-        moved.append(p)
-
-    this_iteration = state.iteration + 1
-    updated = []
-    for p in moved:
-        score = _evaluate(p, this_iteration, fitness, failures)
-        if score is not None and (
-            p.pbest_fitness is None or score.value < p.pbest_fitness.value
-        ):
-            p = replace(p, pbest_position=p.position, pbest_fitness=score)
-        updated.append(p)
-
-    gbest_position, gbest_fitness, gbest_model_id = _pick_gbest(
-        updated,
-        (state.gbest_position, state.gbest_fitness, state.gbest_model_id),
+    w = inertia_schedule(config, state.iteration)
+    draws = rng.uniform_pairs(len(state.models))
+    r1 = draws[..., 0]
+    r2 = draws[..., 1]
+    raw = (
+        w * state.velocity
+        + config.c1 * r1 * (state.pbest_position - state.position)
+        + config.c2 * r2 * (state.gbest_position - state.position)
     )
+    velocity = clamp_velocity(raw, config.v_min, config.v_max)
+    position = np.clip(state.position + velocity, config.m_min, config.m_max)
+
+    iteration = state.iteration + 1
+    values, scored = _evaluate(state.models, position, iteration, fitness, failures)
+    improved = scored & (np.isnan(state.pbest_fitness) | (values < state.pbest_fitness))
+    pbest_position = np.where(improved[:, None], position, state.pbest_position)
+    pbest_fitness = np.where(improved, values, state.pbest_fitness)
+
+    best = _best_row(pbest_fitness)
     return SwarmState(
-        particles=tuple(updated),
-        gbest_position=gbest_position,
-        gbest_fitness=gbest_fitness,
-        gbest_model_id=gbest_model_id,
-        iteration=this_iteration,
-        w_current=inertia_schedule(config, this_iteration),
+        models=state.models,
+        position=position,
+        velocity=velocity,
+        pbest_position=pbest_position,
+        pbest_fitness=pbest_fitness,
+        gbest=best if pbest_fitness[best] < state.gbest_fitness else state.gbest,
+        iteration=iteration,
     )
 
 
-def _snapshot(state: SwarmState, used_w: float) -> ConvergenceRow:
-    fitnesses = tuple(
-        p.pbest_fitness.value if p.pbest_fitness is not None else math.nan
-        for p in state.particles
-    )
-    positions = tuple(tuple(float(x) for x in p.position) for p in state.particles)
+def _snapshot(state: SwarmState, config: SwarmConfig) -> ConvergenceRow:
     return ConvergenceRow(
         iteration=state.iteration,
-        w=used_w,
+        w=inertia_schedule(config, state.iteration - 1),
         gbest_model_id=state.gbest_model_id,
-        gbest_fitness=state.gbest_fitness.value,
-        model_fitness=fitnesses,
-        positions=positions,
+        gbest_fitness=state.gbest_fitness,
+        model_fitness=tuple(state.pbest_fitness.tolist()),
+        positions=tuple(map(tuple, state.position.tolist())),
     )
 
 
-def _ranking(particles: Sequence[Particle]) -> tuple[RankingEntry, ...]:
+def _ranking(state: SwarmState) -> tuple[RankingEntry, ...]:
     entries = [
-        RankingEntry(
-            model_id=p.model.model_id,
-            d=p.model.d,
-            fitness=p.pbest_fitness.value if p.pbest_fitness is not None else math.nan,
-            position=tuple(float(x) for x in p.pbest_position),
+        RankingEntry(model_id=model.model_id, d=model.d, fitness=value, position=tuple(position))
+        for model, value, position in zip(
+            state.models, state.pbest_fitness.tolist(), state.pbest_position.tolist()
         )
-        for p in particles
     ]
     return sort_ranking(entries)
 
@@ -437,22 +378,21 @@ def run(
     rng = RngStream(config.seed)
     failures: list[EvaluationFailure] = []
     state = init_swarm(config, catalog, rng, fitness, failures)
-    initial_gbest = state.gbest_fitness.value
+    initial_gbest = state.gbest_fitness
 
     rows = []
     converged_at = 0
     for _ in range(config.n_iterations):
-        used_w = state.w_current
-        previous_gbest = state.gbest_fitness.value
+        previous_gbest = state.gbest_fitness
         state = step(state, config, fitness, rng, failures)
-        if state.gbest_fitness.value < previous_gbest:
+        if state.gbest_fitness < previous_gbest:
             converged_at = state.iteration
-        rows.append(_snapshot(state, used_w))
+        rows.append(_snapshot(state, config))
 
     return RunRecord(
         config=config,
         rows=tuple(rows),
-        ranking=_ranking(state.particles),
+        ranking=_ranking(state),
         failures=tuple(failures),
         converged_at=converged_at,
         initial_gbest_fitness=initial_gbest,

@@ -19,7 +19,7 @@ from femselect.modal import (
     natural_frequencies,
     solve_generalized_eigen,
 )
-from femselect.objective import SIGMA_SQ_FLOOR, ObjectiveValue, aic, sse
+from femselect.objective import SIGMA_SQ_FLOOR, aic, sse
 from femselect.runner import (
     ModelEvaluator,
     preset_config,
@@ -28,6 +28,7 @@ from femselect.runner import (
 from femselect.swarm import (
     RngStream,
     SwarmConfig,
+    inertia_schedule,
     init_swarm,
     run as swarm_run,
     step,
@@ -48,10 +49,12 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(line)
 
 
-def sphere_fitness(p) -> ObjectiveValue:
-    x = p.position[: p.active_dims]
-    value = float(np.sum(x * x))
-    return ObjectiveValue(kind="SSE", value=value, sigma_squared=value, d=p.model.d, n=5)
+def sphere_fitness(models, positions):
+    values = []
+    for model, position in zip(models, positions):
+        x = position[: model.d]
+        values.append(float(np.sum(x * x)))
+    return np.array(values), {}
 
 
 def sphere_config(seed: int) -> SwarmConfig:
@@ -308,15 +311,17 @@ def _assert_trace_invariants(config, record, fitness):
     rng = RngStream(config.seed)
     state = init_swarm(config, model_catalog(), rng, fitness)
     for row in record.rows:
-        used_w = state.w_current
+        used_w = inertia_schedule(config, state.iteration)
         state = step(state, config, fitness, rng)
+        assert row.iteration == state.iteration
         assert row.w == used_w
-        assert row.gbest_fitness == state.gbest_fitness.value
-        for p, stored in zip(state.particles, row.positions):
-            assert stored == tuple(float(x) for x in p.position)
-            magnitudes = np.abs(p.velocity)
-            assert np.all(magnitudes >= config.v_min)
-            assert np.all(magnitudes <= config.v_max)
+        assert row.gbest_fitness == state.gbest_fitness
+        assert row.gbest_model_id == state.gbest_model_id
+        assert np.array_equal(row.model_fitness, state.pbest_fitness, equal_nan=True)
+        assert row.positions == tuple(map(tuple, state.position.tolist()))
+        magnitudes = np.abs(state.velocity)
+        assert np.all(magnitudes >= config.v_min)
+        assert np.all(magnitudes <= config.v_max)
 
 
 def _assert_inactive_dims_inert(record, fitness_of):
@@ -349,8 +354,9 @@ def test_criterion_10_invariants_on_all_traces(sphere_runs, preset1_runs, preset
         swarm = config.swarm
         kind = swarm.objective_kind
 
-        def fem_fitness(p):
-            return evaluator.evaluate(p.model, p.position, kind)
+        def fem_fitness(models, positions):
+            score, errors = evaluator.evaluate_batch(models, positions, kind)
+            return score.value, errors
 
         _assert_trace_invariants(swarm, record, fem_fitness)
         _assert_inactive_dims_inert(

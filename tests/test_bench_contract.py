@@ -55,6 +55,27 @@ def test_tracer_sees_one_eigen_solve_per_evaluation(tracing):
     assert tracing.span_problems(tracer) == []
 
 
+def test_one_batched_eigen_solve_per_swarm_iteration(tracing, tmp_path):
+    config = runner.ExperimentConfig(
+        swarm=swarm.SwarmConfig(n_iterations=3, seed=0), output_dir=tmp_path / "out"
+    )
+    tracer = tracing.Tracer(tracing.layer_targets(cli, runner, swarm))
+    with tracer.phase():
+        runner.run_experiment(config)
+    assert tracing.span_problems(tracer) == []
+    _, calls = tracer.phase_totals()[0]
+    assert calls["swarm"] == 1
+    assert calls["modal.eigvals"] == config.swarm.n_iterations + 1
+
+    names = np.array(tracer.names)[np.array(tracer.name)]
+    parent = np.array(tracer.parent)
+    (swarm_span,) = np.flatnonzero(names == "swarm")
+    for span in np.flatnonzero(names == "modal.eigvals"):
+        while span not in (swarm_span, -1):
+            span = parent[span]
+        assert span == swarm_span
+
+
 def test_reference_checker_agrees_with_the_fitness_path():
     checks = _load("checks")
     checker = checks.OutputChecker()

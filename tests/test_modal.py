@@ -177,15 +177,15 @@ class TestPlanarSplit:
             planar_standard_form(k[None], h_system.m_global)
 
     def test_evaluator_rejects_coupled_mass(self, monkeypatch):
-        real_assemble = runner.assemble
+        real_transform = runner.transform_to_global
 
-        def coupled_assemble(*args):
-            system = real_assemble(*args)
-            m = system.m_global.copy()
-            m[6, 9] = m[9, 6] = 1e-9
-            return GlobalSystem(k_global=system.k_global, m_global=m, dof_map=system.dof_map)
+        def coupled_transform(local, frame):
+            mats = real_transform(local, frame)
+            m = mats.mass.copy()
+            m[0, 3] = m[3, 0] = 1e-9
+            return ElementMatrices(stiffness=mats.stiffness, mass=m)
 
-        monkeypatch.setattr(runner, "assemble", coupled_assemble)
+        monkeypatch.setattr(runner, "transform_to_global", coupled_transform)
         with pytest.raises(StructureError):
             runner.ModelEvaluator()
 

@@ -1,11 +1,20 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import NOMINAL_AIC, NOMINAL_SIGMA_SQUARED, NOMINAL_SSE
+from femselect import runner
 from femselect.cli import main
+from femselect.fem import assemble
+from femselect.modal import ConvergenceError, StructureError
 from femselect.records import RankingEntry, sort_ranking
 from femselect.runner import (
     PRESETS,
@@ -18,7 +27,6 @@ from femselect.runner import (
     evaluate_model,
     load_config,
     preset_config,
-    rank_models,
     render_convergence_csv,
     run_experiment,
 )
@@ -263,11 +271,13 @@ class TestEvaluateModel:
 
 
 class TestModelEvaluator:
+    def test_mass_equals_assembled_mass(self, evaluator, geometry, material, section):
+        direct = assemble(geometry, np.full(12, 6.4e10), material, section)
+        assert np.array_equal(evaluator.m_global, direct.m_global)
+
     def test_stiffness_stack_matches_direct_assembly(
         self, geometry, material, section, nominal_moduli
     ):
-        from femselect.fem import assemble
-
         evaluator = ModelEvaluator()
         direct = assemble(geometry, nominal_moduli, material, section)
         np.testing.assert_allclose(
@@ -280,6 +290,98 @@ class TestModelEvaluator:
         m_copy = evaluator.m_global.copy()
         evaluator.stiffness(np.full(12, 6.0e10))
         np.testing.assert_array_equal(evaluator.m_global, m_copy)
+
+
+def in_bound_positions(seed: int, n: int = 8) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(5.5e10, 7.5e10, (n, 5))
+
+
+class FailingEigvalsh:
+    """Stands in for `np.linalg.eigvalsh`: a call on a stack of pairs
+    raises LinAlgError, and so does the call on the single pair of row
+    `bad_row`; every other pair is solved as usual."""
+
+    def __init__(self, bad_row: int):
+        self.real = np.linalg.eigvalsh
+        self.bad_row = bad_row
+        self.pair_calls = 0
+
+    def __call__(self, blocks):
+        if blocks.ndim == 4:
+            self.pair_calls = 0
+            raise np.linalg.LinAlgError("stack did not converge")
+        row = self.pair_calls
+        self.pair_calls += 1
+        if row == self.bad_row:
+            raise np.linalg.LinAlgError(f"row {row} did not converge")
+        return self.real(blocks)
+
+
+class TestEvaluateBatch:
+    @pytest.mark.parametrize("kind", ["AIC", "SSE"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_equal_scalar_evaluate_bit_for_bit(self, evaluator, catalog, kind, seed):
+        positions = in_bound_positions(seed)
+        batch, errors = evaluator.evaluate_batch(catalog, positions, kind)
+        assert errors == {}
+        for i, (model, position) in enumerate(zip(catalog, positions)):
+            scalar = evaluator.evaluate(model, position, kind)
+            single, _ = evaluator.evaluate_batch((model,), position[None], kind)
+            assert batch.value[i] == scalar.value == single.value[0]
+            assert batch.sigma_squared[i] == scalar.sigma_squared
+
+    def test_rejects_invalid_positions(self, evaluator, catalog):
+        positions = in_bound_positions(0)
+        with pytest.raises(ValueError):
+            evaluator.evaluate_batch(catalog, positions[:, :4], "AIC")
+        bad = positions.copy()
+        bad[4, 4] = 0.0  # active for model 5
+        with pytest.raises(ValueError, match="positive"):
+            evaluator.evaluate_batch(catalog, bad, "AIC")
+        bad[4, 4] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            evaluator.evaluate_batch(catalog, bad, "AIC")
+
+    def test_stack_failure_is_charged_to_its_row(self, evaluator, catalog, monkeypatch):
+        positions = in_bound_positions(3)
+        expected, _ = evaluator.evaluate_batch(catalog, positions, "AIC")
+        monkeypatch.setattr(np.linalg, "eigvalsh", FailingEigvalsh(3))
+        score, errors = evaluator.evaluate_batch(catalog, positions, "AIC")
+        assert list(errors) == [3]
+        assert isinstance(errors[3], ConvergenceError)
+        assert math.isnan(score.value[3])
+        others = [i for i in range(8) if i != 3]
+        assert np.array_equal(score.value[others], expected.value[others])
+        # a single evaluation raises its row's error
+        monkeypatch.setattr(np.linalg, "eigvalsh", FailingEigvalsh(0))
+        with pytest.raises(ConvergenceError, match="row 0"):
+            evaluator.evaluate(catalog[3], positions[3], "AIC")
+
+    def test_structure_failure_is_charged_to_its_row(self, evaluator, catalog, monkeypatch):
+        real = runner.generalized_eigenvalues
+
+        def lift_row_5(blocks):
+            eigenvalues = real(blocks)
+            eigenvalues[5] += 1.0e6  # no rigid-body cluster left
+            return eigenvalues
+
+        positions = in_bound_positions(4)
+        expected, _ = evaluator.evaluate_batch(catalog, positions, "SSE")
+        monkeypatch.setattr(runner, "generalized_eigenvalues", lift_row_5)
+        score, errors = evaluator.evaluate_batch(catalog, positions, "SSE")
+        assert list(errors) == [5]
+        assert isinstance(errors[5], StructureError)
+        others = [i for i in range(8) if i != 5]
+        assert np.array_equal(score.value[others], expected.value[others])
+
+    def test_run_logs_failures_against_the_right_model(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", FailingEigvalsh(3))
+        record = run_experiment(tiny_config(tmp_path, n_iterations=2, seed=0))
+        assert [(f.iteration, f.model_id) for f in record.failures] == [(0, 4), (1, 4), (2, 4)]
+        assert all("row 3 did not converge" in f.reason for f in record.failures)
+        assert record.ranking[-1].model_id == 4
+        assert math.isnan(record.ranking[-1].fitness)
+        assert not any(math.isnan(e.fitness) for e in record.ranking[:-1])
 
 
 class TestRunExperiment:
@@ -373,6 +475,30 @@ class TestRunExperiment:
         assert excinfo.value.key == "seed"
         assert not (tmp_path / "out").exists()
 
+    def test_failed_write_keeps_earlier_artifact(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path, n_iterations=2, seed=0)
+        run_experiment(config)
+        out = config.output_dir
+        earlier = (out / "result.json").read_bytes()
+        real_write = Path.write_text
+
+        def fail_halfway(path, text, *args, **kwargs):
+            if "result.json" in path.name:
+                real_write(path, text[: len(text) // 2], *args, **kwargs)
+                raise OSError("disk full")
+            return real_write(path, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_halfway)
+        rerun = dataclasses.replace(config, swarm=dataclasses.replace(config.swarm, seed=1))
+        with pytest.raises(OSError):
+            run_experiment(rerun)
+        monkeypatch.undo()
+        assert sorted(p.name for p in out.iterdir()) == ["convergence.csv", "result.json"]
+        assert (out / "result.json").read_bytes() == earlier
+        # the artifact written before the failure is complete
+        rows = (out / "convergence.csv").read_text().strip().split("\n")
+        assert len(rows) == 1 + 2
+
     def test_csv_numbers_round_trip(self, tmp_path):
         config = tiny_config(tmp_path, n_iterations=3, seed=2)
         record = run_experiment(config)
@@ -397,10 +523,10 @@ class TestRanking:
         out = sort_ranking(entries)
         assert [e.model_id for e in out] == [2, 6, 3, 4, 1]
 
-    def test_rank_models_matches_record_ranking(self, tmp_path):
+    def test_record_ranking_is_already_sorted(self, tmp_path):
         config = tiny_config(tmp_path, n_iterations=4, seed=5)
         record = run_experiment(config)
-        assert rank_models(record) == record.ranking
+        assert record.ranking == sort_ranking(record.ranking)
         values = [e.fitness for e in record.ranking]
         assert values == sorted(values)
 
@@ -495,6 +621,7 @@ class TestCli:
             '{"seed": 1.5, "swarm": {"n_iterations": 2}}',
             '{"swarm": {"n_iterations": 2, "init_std": Infinity}}',
             '{"swarm": {"n_iterations": 2, "c1": NaN}}',
+            '{"swarm": {"n_iterations": 1, "w_f": 1.0, "legacy_inertia_decrement": true}}',
         ],
     )
     def test_malformed_config_values_exit_two(self, tmp_path, capsys, text):
@@ -518,3 +645,100 @@ class TestCli:
         code = main(["run", "--config", str(path), "--out", str(blocker / "sub")])
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+# In-range values for each key; a config built from these alone mostly
+# runs (a preset may still contradict inertia_mode or objective_kind).
+plausible_values = {
+    "preset": st.integers(1, 4),
+    "seed": st.integers(0, 2**40),
+    "output_dir": st.text(max_size=8),
+    "emit_mode_shapes": st.booleans(),
+    "c1": st.floats(0.0, 4.0),
+    "c2": st.floats(0.0, 4.0),
+    "n_iterations": st.integers(1, 3),
+    "n_particles": st.just(8),
+    "w_start": st.floats(0.4, 1.5),
+    "w_end": st.floats(0.0, 0.4),
+    "w_f": st.floats(0.05, 1.0),
+    "inertia_mode": st.sampled_from(["none", "adaptive"]),
+    "m_max": st.floats(6.5e10, 8.0e10),
+    "m_min": st.floats(5.0e10, 6.0e10),
+    "v_max": st.floats(1.0e10, 3.0e10),
+    "v_min": st.floats(1.0e8, 2.0e9),
+    "init_mean": st.floats(5.0e10, 8.0e10),
+    "init_std": st.floats(1.0e8, 2.0e10),
+    "objective_kind": st.sampled_from(["AIC", "SSE"]),
+    "legacy_inertia_decrement": st.booleans(),
+}
+
+
+def any_value(name: str):
+    if name == "n_iterations":
+        # Any JSON value but a large integer, so that no run takes long.
+        small = st.integers(-1, 3)
+        return small | json_values.filter(lambda v: not isinstance(v, int))
+    return plausible_values[name] | st.floats() | json_values
+
+
+def not_an_object(strategy):
+    return strategy.filter(lambda v: not isinstance(v, dict))
+
+
+def config_objects_from(values):
+    """Config objects whose swarm always sets n_iterations."""
+    swarm = st.fixed_dictionaries(
+        {"n_iterations": values("n_iterations")},
+        optional={
+            name: values(name) for name in sorted(runner._SWARM_KEYS - {"n_iterations"})
+        },
+    )
+    return st.fixed_dictionaries(
+        {"swarm": swarm},
+        optional={
+            name: values(name) for name in ("preset", "seed", "output_dir", "emit_mode_shapes")
+        },
+    )
+
+
+config_objects = (
+    config_objects_from(plausible_values.get)
+    | config_objects_from(any_value)
+    | not_an_object(json_values)
+    | st.fixed_dictionaries({"swarm": not_an_object(json_values)})
+)
+
+
+class TestConfigFuzz:
+    """Any JSON config ends in a documented exit code, never a traceback."""
+
+    @settings(max_examples=120)
+    @given(data=config_objects)
+    def test_cli_exit_code_is_documented(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = tmp / "config.json"
+        path.write_text(json.dumps(data))
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(path), "--out", str(tmp / "out")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+
+    @settings(max_examples=200)
+    @given(data=config_objects)
+    def test_load_config_raises_only_config_errors(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "config.json"
+        path.write_text(json.dumps(data))
+        try:
+            config = load_config(path)
+        except runner.ConfigError:
+            return
+        config.validate()

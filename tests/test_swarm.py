@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from femselect.beam_structure import model_catalog
 from femselect.modal import ConvergenceError
-from femselect.objective import ObjectiveValue
 from femselect.swarm import (
-    Particle,
     RngStream,
     SwarmConfig,
     SwarmState,
@@ -19,21 +17,33 @@ from femselect.swarm import (
     init_swarm,
     run,
     step,
-    update_position,
-    update_velocity,
 )
 
 
-def quad_fitness(p: Particle) -> ObjectiveValue:
+def quad_value(model, position) -> float:
     """Cheap deterministic stand-in: quadratic bowl over the active
     coordinates, minimum at 6.5e10."""
-    x = p.position[: p.active_dims]
-    total = float(np.sum(((x - 6.5e10) / 1.0e10) ** 2))
-    return ObjectiveValue(kind="SSE", value=total, sigma_squared=total, d=p.model.d, n=5)
+    x = position[: model.d]
+    return float(np.sum(((x - 6.5e10) / 1.0e10) ** 2))
 
 
-def constant_fitness(p: Particle) -> ObjectiveValue:
-    return ObjectiveValue(kind="SSE", value=1.0, sigma_squared=1.0, d=p.model.d, n=5)
+def quad_fitness(models, positions):
+    return np.array([quad_value(m, x) for m, x in zip(models, positions)]), {}
+
+
+def constant_fitness(models, positions):
+    return np.ones(len(models)), {}
+
+
+def flaky_fitness(models, positions):
+    """quad_fitness, except that model 3 always fails to solve."""
+    values, _ = quad_fitness(models, positions)
+    errors = {
+        i: ConvergenceError("synthetic blowup")
+        for i, m in enumerate(models)
+        if m.model_id == 3
+    }
+    return values, errors
 
 
 class PresetNormalsRng(RngStream):
@@ -53,8 +63,8 @@ class PresetPairsRng(RngStream):
         super().__init__(0)
         self._pairs = np.asarray(pairs, dtype=float)
 
-    def uniform_pairs(self) -> np.ndarray:
-        return self._pairs
+    def uniform_pairs(self, n_particles: int) -> np.ndarray:
+        return np.broadcast_to(self._pairs, (n_particles, 5, 2))
 
 
 class TestSwarmConfig:
@@ -127,6 +137,13 @@ class TestSwarmConfig:
 
     def test_validate_accepts_numpy_scalars(self):
         SwarmConfig(c1=np.float64(1.5), seed=np.int64(3), n_iterations=np.int32(4)).validate()
+
+    def test_legacy_decrement_needs_more_iterations_than_w_f(self):
+        config = SwarmConfig(n_iterations=1, w_f=1.0, legacy_inertia_decrement=True)
+        with pytest.raises(ValueError) as excinfo:
+            config.validate()
+        assert str(excinfo.value).split()[0] == "w_f"
+        SwarmConfig(n_iterations=2, w_f=1.0, legacy_inertia_decrement=True).validate()
 
     def test_inertia_none_skips_weight_constraints(self):
         SwarmConfig(inertia_mode="none", w_f=0.0, w_end=5.0).validate()
@@ -207,63 +224,75 @@ class TestClampVelocity:
 
 
 class TestVelocityAndPosition:
-    def make_particle(self, catalog, position, velocity, pbest):
+    def moved(self, catalog, config, position, velocity, pbest, gbest, pairs):
+        """Row 0's velocity and position after one step in which row 1
+        holds the global best at `gbest`."""
         model = catalog[4]  # five active dimensions
-        return Particle(
-            model=model,
-            position=np.array(position),
-            velocity=np.array(velocity),
-            pbest_position=np.array(pbest),
-            pbest_fitness=None,
-            active_dims=5,
+        state = SwarmState(
+            models=(model, model),
+            position=np.array([position, gbest], dtype=float),
+            velocity=np.array([velocity, [1.0e9] * 5], dtype=float),
+            pbest_position=np.array([pbest, gbest], dtype=float),
+            pbest_fitness=np.array([2.0, 1.0]),
+            gbest=1,
+            iteration=0,
         )
+        after = step(state, config, constant_fitness, PresetPairsRng(pairs))
+        return after.velocity[0], after.position[0]
 
     def test_update_formula(self, catalog):
-        p = self.make_particle(
+        velocity, _ = self.moved(
             catalog,
+            SwarmConfig(inertia_mode="none"),  # w = 1, c1 = c2 = 2
             position=[6.0e10] * 5,
             velocity=[1.0e9] * 5,
             pbest=[6.5e10] * 5,
+            gbest=[7.0e10] * 5,
+            pairs=[[0.25, 0.5]] * 5,
         )
-        rng = PresetPairsRng([[0.25, 0.5]] * 5)
-        out = update_velocity(p, np.full(5, 7.0e10), w=1.0, c1=2.0, c2=2.0, rng=rng)
         # 1e9 + 2*0.25*5e9 + 2*0.5*1e10 = 1.35e10
-        np.testing.assert_allclose(out, 1.35e10, rtol=1e-15)
+        np.testing.assert_allclose(velocity, 1.35e10, rtol=1e-15)
 
     def test_r1_weighs_pbest_and_r2_weighs_gbest(self, catalog):
-        p = self.make_particle(
+        velocity, _ = self.moved(
             catalog,
+            SwarmConfig(w_start=0.0, w_end=0.0),  # w = 0
             position=[6.0e10] * 5,
             velocity=[1.0e9] * 5,
             pbest=[6.5e10] * 5,
+            gbest=[9.9e10] * 5,
+            pairs=[[1.0, 0.0]] * 5,
         )
-        rng = PresetPairsRng([[1.0, 0.0]] * 5)
-        out = update_velocity(p, np.full(5, 9.9e10), w=0.0, c1=2.0, c2=2.0, rng=rng)
         # r2 = 0 removes the social term entirely
-        np.testing.assert_allclose(out, 2.0 * (6.5e10 - 6.0e10), rtol=1e-15)
+        np.testing.assert_allclose(velocity, 2.0 * (6.5e10 - 6.0e10), rtol=1e-15)
 
     def test_inertia_only_flow_hits_floor(self, catalog):
-        p = self.make_particle(
+        velocity, _ = self.moved(
             catalog,
+            SwarmConfig(w_start=0.3, w_end=0.3),  # w = 0.3
             position=[6.0e10] * 5,
             velocity=[1.0e9] * 5,
             pbest=[6.0e10] * 5,
+            gbest=[6.0e10] * 5,
+            pairs=[[0.7, 0.9]] * 5,
         )
-        rng = PresetPairsRng([[0.7, 0.9]] * 5)
-        out = update_velocity(p, np.full(5, 6.0e10), w=0.3, c1=2.0, c2=2.0, rng=rng)
         # raw 3e8 falls under the magnitude floor
-        np.testing.assert_array_equal(out, np.full(5, 1.0e9))
+        np.testing.assert_array_equal(velocity, np.full(5, 1.0e9))
 
     def test_position_advance_and_clamp(self, catalog):
-        p = self.make_particle(
+        velocity, position = self.moved(
             catalog,
+            SwarmConfig(inertia_mode="none", c1=0.0, c2=0.0),
             position=[7.4e10, 5.6e10, 6.0e10, 6.0e10, 6.0e10],
             velocity=[2.0e10, -2.0e10, 1.0e9, -1.0e9, 0.0],
             pbest=[6.0e10] * 5,
+            gbest=[6.0e10] * 5,
+            pairs=[[0.5, 0.5]] * 5,
         )
-        out = update_position(p)
+        # the zero velocity is pushed out to the floor before the move
+        np.testing.assert_array_equal(velocity, [2.0e10, -2.0e10, 1.0e9, -1.0e9, 1.0e9])
         np.testing.assert_array_equal(
-            out, [7.5e10, 5.5e10, 6.1e10, 5.9e10, 6.0e10]
+            position, [7.5e10, 5.5e10, 6.1e10, 5.9e10, 6.1e10]
         )
 
 
@@ -278,108 +307,80 @@ class TestRngStream:
         np.testing.assert_array_equal(
             rng.signs(4), np.where(ref.random(4) < 0.5, -1.0, 1.0)
         )
-        np.testing.assert_array_equal(rng.uniform_pairs(), ref.random((5, 2)))
+        np.testing.assert_array_equal(rng.uniform_pairs(3), ref.random((3, 5, 2)))
 
     def test_same_seed_same_stream(self):
         a, b = RngStream(5), RngStream(5)
         np.testing.assert_array_equal(a.normals(10), b.normals(10))
-        np.testing.assert_array_equal(a.uniform_pairs(), b.uniform_pairs())
+        np.testing.assert_array_equal(a.uniform_pairs(8), b.uniform_pairs(8))
+
+    @given(seed=st.integers(0, 2**32 - 1), n_particles=st.integers(1, 8))
+    def test_one_draw_equals_sequential_particle_draws(self, seed, n_particles):
+        batched = RngStream(seed).uniform_pairs(n_particles)
+        ref = np.random.default_rng(seed)
+        sequential = np.stack([ref.random((5, 2)) for _ in range(n_particles)])
+        np.testing.assert_array_equal(batched, sequential)
 
     def test_signs_are_plus_minus_one(self):
         out = RngStream(1).signs(1000)
         assert set(np.unique(out)) == {-1.0, 1.0}
 
 
-class TestParticle:
-    def test_wrong_shape_rejected(self, catalog):
-        with pytest.raises(ValueError):
-            Particle(
-                model=catalog[0],
-                position=np.zeros(4),
-                velocity=np.zeros(5),
-                pbest_position=np.zeros(5),
-                pbest_fitness=None,
-                active_dims=1,
-            )
-
-    def test_active_dims_must_match_model(self, catalog):
-        with pytest.raises(ValueError):
-            Particle(
-                model=catalog[0],
-                position=np.zeros(5),
-                velocity=np.zeros(5),
-                pbest_position=np.zeros(5),
-                pbest_fitness=None,
-                active_dims=2,
-            )
-
-    def test_arrays_read_only(self, catalog):
-        p = Particle(
-            model=catalog[0],
-            position=np.zeros(5),
-            velocity=np.zeros(5),
-            pbest_position=np.zeros(5),
-            pbest_fitness=None,
-            active_dims=1,
-        )
-        with pytest.raises(ValueError):
-            p.position[0] = 1.0
-
-
 class TestInitSwarm:
     def test_centred_draw_lands_on_init_mean(self, catalog):
         config = SwarmConfig()
         state = init_swarm(config, catalog, PresetNormalsRng(0.0), quad_fitness)
-        for p in state.particles:
-            np.testing.assert_array_equal(p.position[: p.active_dims], 7.2e10)
+        for model, position in zip(state.models, state.position):
+            np.testing.assert_array_equal(position[: model.d], 7.2e10)
 
     def test_three_sigma_draw_clamps_to_m_max(self, catalog):
         config = SwarmConfig()
         state = init_swarm(config, catalog, PresetNormalsRng(3.0), quad_fitness)
-        for p in state.particles:
-            np.testing.assert_array_equal(p.position[: p.active_dims], 7.5e10)
+        for model, position in zip(state.models, state.position):
+            np.testing.assert_array_equal(position[: model.d], 7.5e10)
 
     def test_low_draw_clamps_to_m_min(self, catalog):
         config = SwarmConfig()
         state = init_swarm(config, catalog, PresetNormalsRng(-3.0), quad_fitness)
-        for p in state.particles:
-            np.testing.assert_array_equal(p.position[: p.active_dims], 5.5e10)
+        for model, position in zip(state.models, state.position):
+            np.testing.assert_array_equal(position[: model.d], 5.5e10)
 
     def test_inactive_dimensions_start_at_zero(self, catalog):
         state = init_swarm(SwarmConfig(), catalog, RngStream(3), quad_fitness)
-        for p in state.particles:
-            np.testing.assert_array_equal(p.position[p.active_dims :], 0.0)
-            np.testing.assert_array_equal(p.velocity[p.active_dims :], 0.0)
+        for model, position, velocity in zip(state.models, state.position, state.velocity):
+            np.testing.assert_array_equal(position[model.d :], 0.0)
+            np.testing.assert_array_equal(velocity[model.d :], 0.0)
 
     def test_velocities_respect_band(self, catalog):
         config = SwarmConfig()
         state = init_swarm(config, catalog, RngStream(17), quad_fitness)
-        for p in state.particles:
-            active = p.velocity[: p.active_dims]
+        for model, velocity in zip(state.models, state.velocity):
+            active = velocity[: model.d]
             assert np.all(np.abs(active) >= config.v_min)
             assert np.all(np.abs(active) <= config.v_max)
 
     def test_pbest_seeds_from_first_evaluation(self, catalog):
         state = init_swarm(SwarmConfig(), catalog, RngStream(4), quad_fitness)
-        for p in state.particles:
-            np.testing.assert_array_equal(p.pbest_position, p.position)
-            assert p.pbest_fitness is not None
-            assert p.pbest_fitness.value == quad_fitness(p).value
+        np.testing.assert_array_equal(state.pbest_position, state.position)
+        np.testing.assert_array_equal(
+            state.pbest_fitness, quad_fitness(state.models, state.position)[0]
+        )
         assert state.iteration == 0
-        assert state.w_current == inertia_schedule(SwarmConfig(), 0)
 
     def test_gbest_is_the_best_initial_pbest(self, catalog):
         state = init_swarm(SwarmConfig(), catalog, RngStream(4), quad_fitness)
-        best = min(state.particles, key=lambda p: p.pbest_fitness.value)
-        assert state.gbest_fitness.value == best.pbest_fitness.value
-        assert state.gbest_model_id == best.model.model_id
+        best = int(np.argmin(state.pbest_fitness))
+        assert state.gbest == best
+        assert state.gbest_fitness == state.pbest_fitness.min()
+        assert state.gbest_model_id == state.models[best].model_id
+        np.testing.assert_array_equal(state.gbest_position, state.pbest_position[best])
 
     def test_draw_order_matches_documented_contract(self, catalog):
         config = SwarmConfig(seed=31)
         state = init_swarm(config, catalog, RngStream(31), quad_fitness)
         ref = np.random.default_rng(31)
-        for p in state.particles:
-            d = p.active_dims
+        for model, position, velocity in zip(state.models, state.position, state.velocity):
+            d = model.d
             expect_pos = np.clip(
                 config.init_mean + ref.standard_normal(d) * config.init_std,
                 config.m_min,
@@ -388,8 +389,8 @@ class TestInitSwarm:
             expect_vel = ref.uniform(config.v_min, config.v_max, d) * np.where(
                 ref.random(d) < 0.5, -1.0, 1.0
             )
-            np.testing.assert_array_equal(p.position[:d], expect_pos)
-            np.testing.assert_array_equal(p.velocity[:d], expect_vel)
+            np.testing.assert_array_equal(position[:d], expect_pos)
+            np.testing.assert_array_equal(velocity[:d], expect_vel)
 
 
 class TestStep:
@@ -397,72 +398,99 @@ class TestStep:
         config = SwarmConfig()
         rng = RngStream(0)
         state = init_swarm(config, catalog, rng, constant_fitness)
-        before = [p.pbest_position.copy() for p in state.particles]
         after = step(state, config, constant_fitness, rng)
         assert after.iteration == 1
         assert after.gbest_model_id == state.gbest_model_id
-        assert after.gbest_fitness.value == 1.0
-        for p, prev in zip(after.particles, before):
-            np.testing.assert_array_equal(p.pbest_position, prev)
+        assert after.gbest_fitness == 1.0
+        np.testing.assert_array_equal(after.pbest_position, state.pbest_position)
+
+    def test_later_tie_does_not_take_the_global_best(self, catalog):
+        config = SwarmConfig()
+        state = SwarmState(
+            models=tuple(catalog[:2]),
+            position=np.full((2, 5), 6.0e10),
+            velocity=np.full((2, 5), 1.0e9),
+            pbest_position=np.full((2, 5), 6.0e10),
+            pbest_fitness=np.array([3.0, 1.0]),
+            gbest=1,
+            iteration=0,
+        )
+        after = step(state, config, constant_fitness, RngStream(0))
+        # row 0 improves to 1.0, which only ties the holder in row 1
+        assert after.pbest_fitness.tolist() == [1.0, 1.0]
+        assert after.gbest == 1
 
     def test_inactive_dimensions_snap_to_lower_bound(self, catalog):
         config = SwarmConfig()
         rng = RngStream(8)
         state = init_swarm(config, catalog, rng, quad_fitness)
         state = step(state, config, quad_fitness, rng)
-        for p in state.particles:
-            np.testing.assert_array_equal(p.position[p.active_dims :], config.m_min)
+        for model, position in zip(state.models, state.position):
+            np.testing.assert_array_equal(position[model.d :], config.m_min)
 
     def test_failures_leave_pbest_untouched_and_log(self, catalog):
-        def flaky(p: Particle) -> ObjectiveValue:
-            if p.model.model_id == 3:
-                raise ConvergenceError("synthetic blowup")
-            return quad_fitness(p)
-
         config = SwarmConfig()
         rng = RngStream(0)
         failures = []
-        state = init_swarm(config, catalog, rng, flaky, failures)
-        state = step(state, config, flaky, rng, failures)
-        state = step(state, config, flaky, rng, failures)
-        broken = state.particles[2]
-        assert broken.pbest_fitness is None
+        initial = init_swarm(config, catalog, rng, flaky_fitness, failures)
+        state = step(initial, config, flaky_fitness, rng, failures)
+        state = step(state, config, flaky_fitness, rng, failures)
+        assert math.isnan(state.pbest_fitness[2])
+        np.testing.assert_array_equal(state.pbest_position[2], initial.position[2])
         assert [f.iteration for f in failures] == [0, 1, 2]
         assert all(f.model_id == 3 for f in failures)
         assert all("blowup" in f.reason for f in failures)
-        healthy = [p for p in state.particles if p.model.model_id != 3]
-        assert all(p.pbest_fitness is not None for p in healthy)
+        healthy = np.delete(state.pbest_fitness, 2)
+        assert not np.any(np.isnan(healthy))
+
+    def test_failures_are_logged_in_particle_order(self, catalog):
+        def two_fail(models, positions):
+            values, _ = quad_fitness(models, positions)
+            return values, {5: ConvergenceError("late"), 1: ConvergenceError("early")}
+
+        failures = []
+        init_swarm(SwarmConfig(), catalog, RngStream(0), two_fail, failures)
+        assert [(f.model_id, f.reason) for f in failures] == [(2, "early"), (6, "late")]
 
     def test_all_failures_raise(self, catalog):
-        def broken(p: Particle) -> ObjectiveValue:
-            raise ConvergenceError("nothing works")
+        def broken(models, positions):
+            error = ConvergenceError("nothing works")
+            return np.zeros(len(models)), {i: error for i in range(len(models))}
 
         with pytest.raises(RuntimeError):
             init_swarm(SwarmConfig(), catalog, RngStream(0), broken)
+
+    def test_value_error_aborts(self, catalog):
+        def invalid(models, positions):
+            raise ValueError("bad position")
+
+        with pytest.raises(ValueError):
+            init_swarm(SwarmConfig(), catalog, RngStream(0), invalid)
 
     def test_constant_velocity_walk_without_attraction(self, catalog):
         config = SwarmConfig(c1=0.0, c2=0.0, inertia_mode="none")
         rng = RngStream(12)
         state = init_swarm(config, catalog, rng, quad_fitness)
-        v0 = [p.velocity.copy() for p in state.particles]
-        p0 = [p.position.copy() for p in state.particles]
         after = step(state, config, quad_fitness, rng)
-        for p, vel, pos in zip(after.particles, v0, p0):
-            d = p.active_dims
+        for model, before_v, before_p, v, p in zip(
+            state.models, state.velocity, state.position, after.velocity, after.position
+        ):
+            d = model.d
             # with w = 1 and no attraction the active velocity persists
-            np.testing.assert_array_equal(p.velocity[:d], vel[:d])
+            np.testing.assert_array_equal(v[:d], before_v[:d])
             np.testing.assert_array_equal(
-                p.position[:d],
-                np.clip(pos[:d] + vel[:d], config.m_min, config.m_max),
+                p[:d], np.clip(before_p[:d] + before_v[:d], config.m_min, config.m_max)
             )
 
-    def test_w_current_advances_with_schedule(self, catalog):
-        config = SwarmConfig(n_iterations=10)
+    def test_step_applies_the_schedule_at_its_iteration(self, catalog):
+        config = SwarmConfig(n_iterations=10, c1=0.0, c2=0.0)
         rng = RngStream(0)
         state = init_swarm(config, catalog, rng, quad_fitness)
-        assert state.w_current == inertia_schedule(config, 0)
-        state = step(state, config, quad_fitness, rng)
-        assert state.w_current == inertia_schedule(config, 1)
+        for _ in range(3):
+            w = inertia_schedule(config, state.iteration)
+            expected = clamp_velocity(w * state.velocity, config.v_min, config.v_max)
+            state = step(state, config, quad_fitness, rng)
+            np.testing.assert_array_equal(state.velocity, expected)
 
 
 class TestRun:
@@ -581,13 +609,8 @@ class TestRun:
         assert sorted(entry.model_id for entry in record.ranking) == list(range(1, 9))
 
     def test_failing_model_ranks_last_with_nan(self):
-        def flaky(p: Particle) -> ObjectiveValue:
-            if p.model.model_id == 3:
-                raise ConvergenceError("synthetic blowup")
-            return quad_fitness(p)
-
         config = SwarmConfig(n_iterations=4, seed=0, objective_kind="SSE")
-        record = run(config, flaky)
+        record = run(config, flaky_fitness)
         assert record.ranking[-1].model_id == 3
         assert math.isnan(record.ranking[-1].fitness)
         assert all(math.isnan(row.model_fitness[2]) for row in record.rows)
@@ -610,15 +633,15 @@ class TestRun:
         state = init_swarm(config, model_catalog(), rng, quad_fitness)
         for _ in range(4):
             state = step(state, config, quad_fitness, rng)
-            for p in state.particles:
-                assert np.all(p.position >= config.m_min)
-                assert np.all(p.position <= config.m_max)
-                active = p.velocity[: p.active_dims]
+            assert np.all(state.position >= config.m_min)
+            assert np.all(state.position <= config.m_max)
+            for model, velocity in zip(state.models, state.velocity):
+                active = velocity[: model.d]
                 assert np.all(np.abs(active) >= config.v_min)
                 assert np.all(np.abs(active) <= config.v_max)
-                assert p.pbest_fitness.value <= quad_fitness(p).value
-            best = min(q.pbest_fitness.value for q in state.particles)
-            assert state.gbest_fitness.value == best
+            current, _ = quad_fitness(state.models, state.position)
+            assert np.all(state.pbest_fitness <= current)
+            assert state.gbest_fitness == state.pbest_fitness.min()
 
 
 class TestSwarmState:
@@ -626,3 +649,28 @@ class TestSwarmState:
         state = init_swarm(SwarmConfig(), catalog, RngStream(0), quad_fitness)
         with pytest.raises(ValueError):
             state.gbest_position[0] = 1.0
+
+    def test_arrays_read_only(self, catalog):
+        state = init_swarm(SwarmConfig(), catalog, RngStream(0), quad_fitness)
+        state = step(state, SwarmConfig(), quad_fitness, RngStream(1))
+        for name in ("position", "velocity", "pbest_position", "pbest_fitness"):
+            with pytest.raises(ValueError):
+                getattr(state, name)[0] = 1.0
+
+    def test_wrong_shape_rejected(self, catalog):
+        good = {
+            "position": np.zeros((2, 5)),
+            "velocity": np.zeros((2, 5)),
+            "pbest_position": np.zeros((2, 5)),
+            "pbest_fitness": np.zeros(2),
+        }
+        bad_shapes = {
+            "position": (2, 4),
+            "velocity": (1, 5),
+            "pbest_position": (5,),
+            "pbest_fitness": (3,),
+        }
+        for name, shape in bad_shapes.items():
+            arrays = {**good, name: np.zeros(shape)}
+            with pytest.raises(ValueError, match=name):
+                SwarmState(models=tuple(catalog[:2]), gbest=0, iteration=0, **arrays)
