@@ -30,7 +30,6 @@ from .fem import (
 from .modal import (
     ConvergenceError,
     DecompositionError,
-    EigenSolveConfig,
     EigenSolveError,
     ModalResult,
     StructureError,
@@ -65,7 +64,6 @@ __all__ = [
     "ConvergenceRow",
     "CrossSection",
     "DecompositionError",
-    "EigenSolveConfig",
     "EigenSolveError",
     "ElementMatrices",
     "EvaluationFailure",

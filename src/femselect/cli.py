@@ -2,7 +2,11 @@
 
 femselect run --config FILE [--seed N] [--out DIR]
 femselect preset --simulation {1,2,3,4} --seed N --out DIR
+femselect sweep --simulation {1,2,3,4} [--seed FIRST] [--seeds COUNT] --out DIR
 femselect describe {geometry,catalog,modal} [--model ID] [--position E1,..,E5]
+
+`sweep` runs one preset for seeds FIRST .. FIRST+COUNT-1 into DIR/seed<k>/,
+prints each run's outcome as `preset` does, then a tally of the winners.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem, 4 a
 numerical failure that aborted the run.
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +49,12 @@ def _build_parser() -> argparse.ArgumentParser:
     preset_parser.add_argument("--simulation", required=True, type=int, choices=[1, 2, 3, 4])
     preset_parser.add_argument("--seed", required=True, type=int)
     preset_parser.add_argument("--out", required=True, type=Path)
+
+    sweep_parser = sub.add_parser("sweep", help="run one standard simulation over a seed range")
+    sweep_parser.add_argument("--simulation", required=True, type=int, choices=[1, 2, 3, 4])
+    sweep_parser.add_argument("--seed", type=int, default=0, help="first seed (default 0)")
+    sweep_parser.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
+    sweep_parser.add_argument("--out", required=True, type=Path, help="one seed<k>/ per run here")
 
     describe_parser = sub.add_parser("describe", help="dump structure, catalog, or modal data")
     describe_parser.add_argument("what", choices=["geometry", "catalog", "modal"])
@@ -85,6 +96,19 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ValueError("--seeds must be at least 1")
+    winners: Counter[int] = Counter()
+    for seed in range(args.seed, args.seed + args.seeds):
+        config = preset_config(args.simulation, seed=seed, output_dir=args.out / f"seed{seed}")
+        record = run_experiment(config)
+        _print_outcome(record, Path(config.output_dir))
+        winners[record.ranking[0].model_id] += 1
+    print("winners: " + "  ".join(f"m{mid}:{count}" for mid, count in winners.most_common()))
+    return 0
+
+
 def _cmd_describe(args: argparse.Namespace) -> int:
     position = None
     if args.position is not None:
@@ -104,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_run(args)
         if args.command == "preset":
             return _cmd_preset(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
         return _cmd_describe(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

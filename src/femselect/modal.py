@@ -22,6 +22,8 @@ from .beam_structure import DOF_PER_NODE, MeasuredData
 from .fem import GlobalSystem
 
 RIGID_BODY_RATIO = 1e-6
+# Relative residual every pair of the dense solve must meet.
+RESIDUAL_TOLERANCE = 1e-9
 _EXPECTED_RIGID_MODES = 6
 # Per-node DOFs (ux, uy, uz, rx, ry, rz) that stay in the z = 0 plane.
 _IN_PLANE_DOFS = (0, 1, 5)
@@ -45,15 +47,6 @@ class ConvergenceError(EigenSolveError):
 
 class StructureError(EigenSolveError):
     """The assembled system does not show the expected six rigid-body modes."""
-
-
-@dataclass(frozen=True)
-class EigenSolveConfig:
-    residual_tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.residual_tolerance <= 0.0:
-            raise ValueError("residual_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,17 +86,14 @@ def rigid_body_count(eigenvalues: np.ndarray) -> int | np.ndarray:
     return int(counts) if eigenvalues.ndim == 1 else counts
 
 
-def solve_generalized_eigen(
-    k: np.ndarray,
-    m: np.ndarray,
-    config: EigenSolveConfig = EigenSolveConfig(),
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_generalized_eigen(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve K phi = lambda M phi for a symmetric K and SPD M.
 
     Returns ascending eigenvalues and M-orthonormal eigenvector columns.
-    Every elastic pair must satisfy ||K phi - lambda M phi|| <= tol ||K phi||
-    and every rigid-body pair ||K phi|| <= tol ||K|| ||phi||, else a
-    ConvergenceError carrying the worst achieved ratio is raised.
+    With tol = RESIDUAL_TOLERANCE, every elastic pair must satisfy
+    ||K phi - lambda M phi|| <= tol ||K phi|| and every rigid-body pair
+    ||K phi|| <= tol ||K|| ||phi||, else a ConvergenceError carrying the
+    worst achieved ratio is raised.
     """
     k, m = _check_pair(k, m)
     _require_positive_definite(m)
@@ -119,7 +109,7 @@ def solve_generalized_eigen(
     k_phi_norm = np.linalg.norm(k_phi, axis=0)
     k_norm = np.linalg.norm(k, 2)
 
-    tol = config.residual_tolerance
+    tol = RESIDUAL_TOLERANCE
     worst = 0.0
     for i in range(eigenvalues.size):
         if i < n_rigid:
@@ -234,18 +224,14 @@ def free_free_result(
     )
 
 
-def natural_frequencies(
-    system: GlobalSystem,
-    config: EigenSolveConfig = EigenSolveConfig(),
-    with_shapes: bool = False,
-) -> ModalResult:
+def natural_frequencies(system: GlobalSystem, with_shapes: bool = False) -> ModalResult:
     """Full ascending frequency list of an assembled free-free system, by
     the dense solve of the whole pair.
 
     Raises StructureError unless exactly six rigid-body modes are present.
     """
     if with_shapes:
-        eigenvalues, eigenvectors = solve_generalized_eigen(system.k_global, system.m_global, config)
+        eigenvalues, eigenvectors = solve_generalized_eigen(system.k_global, system.m_global)
         return free_free_result(eigenvalues, eigenvectors)
     _require_positive_definite(system.m_global)
     return free_free_result(_dense_eigenvalues(system.k_global, system.m_global))

@@ -45,7 +45,6 @@ class SwarmConfig:
     c1: float = 2.0
     c2: float = 2.0
     n_iterations: int = 500
-    n_particles: int = 8
     w_start: float = 1.2
     w_end: float = 0.4
     w_f: float = 0.5
@@ -88,8 +87,6 @@ class SwarmConfig:
             raise ValueError("c2 must be non-negative")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be at least 1")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be at least 1")
         if self.inertia_mode not in ("none", "adaptive"):
             raise ValueError("inertia_mode must be 'none' or 'adaptive'")
         if self.inertia_mode == "adaptive":
@@ -104,6 +101,15 @@ class SwarmConfig:
                 raise ValueError("w_f must be below n_iterations for the legacy decrement")
         if not self.m_min < self.m_max:
             raise ValueError("m_min must be below m_max")
+        # A difference of two positions may take the whole span, and the
+        # velocity update adds two such attractions; an overflow there
+        # would turn into inf - inf = nan.
+        span = self.m_max - self.m_min
+        if not math.isfinite(span):
+            raise ValueError("m_max - m_min overflows; the position span must be finite")
+        if not math.isfinite((self.c1 + self.c2) * span):
+            key = "c1" if self.c1 >= self.c2 else "c2"
+            raise ValueError(f"{key} is too large: (c1 + c2) * (m_max - m_min) overflows")
         if not 0.0 < self.v_min < self.v_max:
             raise ValueError("v_min must satisfy 0 < v_min < v_max")
         if self.init_std <= 0:
@@ -189,11 +195,11 @@ class RngStream:
     def signs(self, n: int) -> np.ndarray:
         return np.where(self._rng.random(n) < 0.5, -1.0, 1.0)
 
-    def uniform_pairs(self, n_particles: int) -> np.ndarray:
-        """(r1, r2) for each dimension of each particle, shape (P, 5, 2).
-        One draw fills particle by particle, so it equals P draws of
-        shape (5, 2) in particle order."""
-        return self._rng.random((n_particles, SEARCH_DIMS, 2))
+    def uniform_pairs(self, count: int) -> np.ndarray:
+        """(r1, r2) for each dimension of `count` particles, shape
+        (count, 5, 2). One draw fills particle by particle, so it equals
+        `count` draws of shape (5, 2) in particle order."""
+        return self._rng.random((count, SEARCH_DIMS, 2))
 
 
 def inertia_schedule(config: SwarmConfig, iteration: int) -> float:
@@ -367,13 +373,12 @@ def run(
     catalog: Sequence[ModelSpec] | None = None,
 ) -> RunRecord:
     """Initialize from config.seed, execute the full iteration budget, and
-    return the trace, the final ranking, and the failure log. Identical
+    return the trace, the final ranking, and the failure log. There is one
+    particle per catalog model (the full catalog by default). Identical
     (config, seed) pairs produce identical records."""
     config.validate()
     if catalog is None:
         catalog = model_catalog()
-    if len(catalog) != config.n_particles:
-        raise ValueError("catalog size must match n_particles")
 
     rng = RngStream(config.seed)
     failures: list[EvaluationFailure] = []

@@ -1,14 +1,17 @@
 """What the benchmark harness under perfbench/ relies on in the package.
 
-The tracer patches callables by name from outside the package, and the
-output checks re-score winners through the dense modal path. A rename
-there would make the benchmark read zero for a layer or fail to load,
-so these tests pin the names and the evaluate signature.
+The tracer patches callables by name from outside the package, the
+output checks re-score winners through the dense modal path, and the
+driver writes config files and command lines for the CLI. A rename or a
+deleted config key there would make the benchmark read zero for a layer
+or fail to run, so these tests pin the names, the evaluate signature,
+the configs and the command lines.
 """
 
 import importlib.util
 import inspect
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def _load(name: str):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -30,6 +35,11 @@ def _load(name: str):
 @pytest.fixture(scope="module")
 def tracing():
     return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _load("run")
 
 
 def test_every_layer_target_resolves(tracing):
@@ -74,6 +84,21 @@ def test_one_batched_eigen_solve_per_swarm_iteration(tracing, tmp_path):
         while span not in (swarm_span, -1):
             span = parent[span]
         assert span == swarm_span
+
+
+def test_benchmark_configs_still_load(bench, tmp_path):
+    for seed in range(4):
+        op = bench.short_run_op(seed, tmp_path / f"short{seed}")
+        assert op.argv[:2] == ["run", "--config"]
+        config = runner.load_config(op.argv[2])
+        assert config.preset == 1 + seed % 4 and config.emit_mode_shapes
+
+
+def test_benchmark_command_lines_parse(bench, tmp_path):
+    parser = cli._build_parser()
+    for _, make in bench.WORKLOADS.values():
+        op = make(0, tmp_path / "out")
+        assert parser.parse_args(op.argv).command in ("preset", "run")
 
 
 def test_reference_checker_agrees_with_the_fitness_path():

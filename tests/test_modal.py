@@ -13,10 +13,10 @@ from conftest import (
 from femselect import runner
 from femselect.fem import ElementMatrices, GlobalSystem, assemble
 from femselect.modal import (
+    RESIDUAL_TOLERANCE,
     RIGID_BODY_RATIO,
     ConvergenceError,
     DecompositionError,
-    EigenSolveConfig,
     EigenSolveError,
     ModalResult,
     StructureError,
@@ -371,13 +371,6 @@ class TestSelectModes:
 
 
 class TestConfig:
-    def test_defaults(self):
-        config = EigenSolveConfig()
-        assert config.residual_tolerance == 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EigenSolveConfig(residual_tolerance=0.0)
-
     def test_ratio_constant(self):
         assert RIGID_BODY_RATIO == 1e-6
+        assert RESIDUAL_TOLERANCE == 1e-9

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -622,15 +623,41 @@ class TestCli:
             '{"swarm": {"n_iterations": 2, "init_std": Infinity}}',
             '{"swarm": {"n_iterations": 2, "c1": NaN}}',
             '{"swarm": {"n_iterations": 1, "w_f": 1.0, "legacy_inertia_decrement": true}}',
+            '{"swarm": {"n_iterations": 3, "c1": 1e308, "c2": 1e308}}',
+            '{"swarm": {"n_iterations": 3, "m_min": -1e308, "m_max": 1e308}}',
+            '{"swarm": {"n_iterations": 200, "m_min": -1e9}}',
+            '{"swarm": {"n_particles": 8}}',
         ],
     )
     def test_malformed_config_values_exit_two(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_text(text)
         out_dir = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_sweep_matches_preset_runs(self, tmp_path, capsys):
+        sweep_dir = tmp_path / "sweep"
+        args = ["--simulation", "1", "--out", str(sweep_dir)]
+        assert main(["sweep", *args, "--seed", "3", "--seeds", "2"]) == 0
+        stdout = capsys.readouterr().out
+        assert sorted(p.name for p in sweep_dir.iterdir()) == ["seed3", "seed4"]
+        assert stdout.count("best model") == 2 and stdout.count("artifacts written") == 2
+        assert stdout.splitlines()[-1].startswith("winners: m")
+
+        preset_dir = tmp_path / "preset"
+        assert main(["preset", "--simulation", "1", "--seed", "4", "--out", str(preset_dir)]) == 0
+        for name in ("convergence.csv", "result.json"):
+            assert (sweep_dir / "seed4" / name).read_bytes() == (preset_dir / name).read_bytes()
+
+    def test_sweep_needs_a_seed(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--simulation", "1", "--seeds", "0", "--out", str(out_dir)]) == 2
+        assert "--seeds" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_describe_non_finite_position_exits_two(self, capsys):
@@ -665,7 +692,6 @@ plausible_values = {
     "c1": st.floats(0.0, 4.0),
     "c2": st.floats(0.0, 4.0),
     "n_iterations": st.integers(1, 3),
-    "n_particles": st.just(8),
     "w_start": st.floats(0.4, 1.5),
     "w_end": st.floats(0.0, 0.4),
     "w_f": st.floats(0.05, 1.0),

@@ -63,15 +63,15 @@ class PresetPairsRng(RngStream):
         super().__init__(0)
         self._pairs = np.asarray(pairs, dtype=float)
 
-    def uniform_pairs(self, n_particles: int) -> np.ndarray:
-        return np.broadcast_to(self._pairs, (n_particles, 5, 2))
+    def uniform_pairs(self, count: int) -> np.ndarray:
+        return np.broadcast_to(self._pairs, (count, 5, 2))
 
 
 class TestSwarmConfig:
     def test_defaults(self):
         config = SwarmConfig()
         assert config.c1 == 2.0 and config.c2 == 2.0
-        assert config.n_iterations == 500 and config.n_particles == 8
+        assert config.n_iterations == 500
         assert config.w_start == 1.2 and config.w_end == 0.4 and config.w_f == 0.5
         assert config.inertia_mode == "adaptive"
         assert config.m_max == 7.5e10 and config.m_min == 5.5e10
@@ -93,13 +93,13 @@ class TestSwarmConfig:
             ("c1", -0.5),
             ("c2", -2.0),
             ("n_iterations", 0),
-            ("n_particles", 0),
             ("inertia_mode", "linear"),
             ("w_f", 0.0),
             ("w_f", 1.5),
             ("w_end", 1.3),
             ("w_end", -0.1),
             ("m_min", 8.0e10),
+            ("c1", 1.0e308),
             ("v_min", 0.0),
             ("v_min", 3.0e10),
             ("init_std", 0.0),
@@ -124,7 +124,6 @@ class TestSwarmConfig:
             ("c2", True),
             ("n_iterations", "5"),
             ("n_iterations", 5.0),
-            ("n_particles", True),
             ("seed", 1.5),
             ("legacy_inertia_decrement", 1),
         ],
@@ -616,10 +615,11 @@ class TestRun:
         assert all(math.isnan(row.model_fitness[2]) for row in record.rows)
         assert len(record.failures) == 5  # init plus four iterations
 
-    def test_catalog_size_must_match(self, catalog):
+    def test_smaller_catalog_runs_one_row_per_model(self, catalog):
         config = SwarmConfig(n_iterations=2, objective_kind="SSE")
-        with pytest.raises(ValueError):
-            run(config, quad_fitness, catalog=catalog[:4])
+        record = run(config, quad_fitness, catalog=catalog[:4])
+        assert sorted(entry.model_id for entry in record.ranking) == [1, 2, 3, 4]
+        assert all(len(row.positions) == 4 for row in record.rows)
 
     def test_invalid_config_rejected_before_work(self):
         with pytest.raises(ValueError):
