@@ -371,6 +371,8 @@ class TestSelectModes:
 
 
 class TestConfig:
+    def test_defaults(self):
+        assert RESIDUAL_TOLERANCE == 1e-9
+
     def test_ratio_constant(self):
         assert RIGID_BODY_RATIO == 1e-6
-        assert RESIDUAL_TOLERANCE == 1e-9
