@@ -9,6 +9,7 @@ reproduce identical files).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -219,6 +220,11 @@ class ModelEvaluator:
     (`planar_standard_form`); a candidate's spectrum is then a weighted
     sum of that stack and two half-size standard eigenvalue solves. A
     batch of candidates shares one eigenvalue call.
+
+    Every build yields the same arrays, so a process builds one through
+    `_default_evaluator()` and every run, score and description shares
+    it. The arrays are read-only: no caller can change what a later run
+    sees.
     """
 
     def __init__(self):
@@ -250,6 +256,9 @@ class ModelEvaluator:
         self.m_global = m_global
         self._whitened_stiffness = planar_standard_form(stack, m_global)
         self._ranks = np.asarray(self.measured.mode_indices) - 1
+        # One evaluator serves every run of the process.
+        for arr in (self._unit_stiffness, self.m_global, self._whitened_stiffness, self._ranks):
+            arr.setflags(write=False)
 
     def stiffness(self, moduli: np.ndarray) -> np.ndarray:
         """Full global K, for the dense reference and mode shapes."""
@@ -345,14 +354,17 @@ class ModelEvaluator:
         )
 
 
-_shared_evaluator: ModelEvaluator | None = None
-
-
+@functools.cache
 def _default_evaluator() -> ModelEvaluator:
-    global _shared_evaluator
-    if _shared_evaluator is None:
-        _shared_evaluator = ModelEvaluator()
-    return _shared_evaluator
+    """The one evaluator of the process, built on first use and shared by
+    every run and description after it; its arrays are read-only.
+
+    Code that builds an evaluator under a patch of what the build reads
+    (such as a transform that couples the planar halves) calls
+    `ModelEvaluator()` directly, never this: a cached evaluator would
+    hide the patch, or keep it for every later run.
+    """
+    return ModelEvaluator()
 
 
 def evaluate_model(
@@ -486,7 +498,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Execute one full optimization and write convergence.csv plus
     result.json (and optionally mode_shapes.csv) into output_dir."""
     config.validate()
-    evaluator = ModelEvaluator()
+    evaluator = _default_evaluator()
     kind = config.swarm.objective_kind
 
     def fitness(models, positions):

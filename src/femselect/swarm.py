@@ -101,15 +101,22 @@ class SwarmConfig:
                 raise ValueError("w_f must be below n_iterations for the legacy decrement")
         if not self.m_min < self.m_max:
             raise ValueError("m_min must be below m_max")
-        # A difference of two positions may take the whole span, and the
-        # velocity update adds two such attractions; an overflow there
-        # would turn into inf - inf = nan.
+        # The velocity update adds the inertia term w * v, with |v| <= v_max
+        # and w never above w_start (1 in mode "none"), to two attractions,
+        # each at most c * (m_max - m_min). An overflow in any term or in
+        # their sum would give an infinite velocity or inf - inf = nan.
         span = self.m_max - self.m_min
         if not math.isfinite(span):
             raise ValueError("m_max - m_min overflows; the position span must be finite")
-        if not math.isfinite((self.c1 + self.c2) * span):
+        w_max = max(self.w_start, 1.0) if self.inertia_mode == "adaptive" else 1.0
+        inertia = w_max * self.v_max
+        if not math.isfinite(inertia):
+            raise ValueError("w_start is too large: w_start * v_max overflows")
+        if not math.isfinite(inertia + (self.c1 + self.c2) * span):
             key = "c1" if self.c1 >= self.c2 else "c2"
-            raise ValueError(f"{key} is too large: (c1 + c2) * (m_max - m_min) overflows")
+            raise ValueError(
+                f"{key} is too large: w * v_max + (c1 + c2) * (m_max - m_min) overflows"
+            )
         if not 0.0 < self.v_min < self.v_max:
             raise ValueError("v_min must satisfy 0 < v_min < v_max")
         if self.init_std <= 0:

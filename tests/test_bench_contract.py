@@ -86,6 +86,29 @@ def test_one_batched_eigen_solve_per_swarm_iteration(tracing, tmp_path):
         assert span == swarm_span
 
 
+def test_runs_of_one_process_share_one_evaluator_build(tracing, tmp_path):
+    tracer = tracing.Tracer(tracing.layer_targets(cli, runner, swarm))
+    runner._default_evaluator.cache_clear()
+    with tracer.phase():
+        for seed in (0, 1):
+            runner.run_experiment(
+                runner.ExperimentConfig(
+                    swarm=swarm.SwarmConfig(n_iterations=2, seed=seed),
+                    output_dir=tmp_path / f"seed{seed}",
+                )
+            )
+    assert tracing.span_problems(tracer) == []
+    _, calls = tracer.phase_totals()[0]
+    assert calls["swarm"] == 2
+    assert calls["runner.evaluator_build"] == 1
+    assert calls["fem.setup"] > 0
+
+    names = np.array(tracer.names)[np.array(tracer.name)]
+    parent = np.array(tracer.parent)
+    (build,) = np.flatnonzero(names == "runner.evaluator_build")
+    assert np.all(parent[names == "fem.setup"] == build)
+
+
 def test_benchmark_configs_still_load(bench, tmp_path):
     for seed in range(4):
         op = bench.short_run_op(seed, tmp_path / f"short{seed}")

@@ -292,6 +292,13 @@ class TestModelEvaluator:
         evaluator.stiffness(np.full(12, 6.0e10))
         np.testing.assert_array_equal(evaluator.m_global, m_copy)
 
+    def test_shared_evaluator_is_read_only(self):
+        evaluator = runner._default_evaluator()
+        with pytest.raises(ValueError, match="read-only"):
+            evaluator.m_global[0, 0] = 1.0
+        for array in (evaluator._unit_stiffness, evaluator._whitened_stiffness, evaluator._ranks):
+            assert not array.flags.writeable
+
 
 def in_bound_positions(seed: int, n: int = 8) -> np.ndarray:
     return np.random.default_rng(seed).uniform(5.5e10, 7.5e10, (n, 5))
@@ -467,6 +474,25 @@ class TestRunExperiment:
         assert len(lines) == 1 + 13
         assert len(lines[1].split(",")) == 2 + 78
 
+    def test_reused_evaluator_writes_the_same_bytes(self, tmp_path):
+        def shapes_run(name, seed=5, kind="AIC"):
+            config = ExperimentConfig(
+                swarm=SwarmConfig(n_iterations=3, seed=seed, objective_kind=kind),
+                output_dir=tmp_path / name,
+                emit_mode_shapes=True,
+            )
+            run_experiment(config)
+            return config.output_dir
+
+        runner._default_evaluator.cache_clear()
+        fresh = shapes_run("fresh")
+        evaluator = runner._default_evaluator()
+        shapes_run("other", seed=6, kind="SSE")
+        reused = shapes_run("reused")
+        assert runner._default_evaluator() is evaluator
+        for name in ("convergence.csv", "result.json", "mode_shapes.csv"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_invalid_config_rejected(self, tmp_path):
         config = ExperimentConfig(
             swarm=SwarmConfig(seed=-2), output_dir=tmp_path / "out"
@@ -627,6 +653,9 @@ class TestCli:
             '{"swarm": {"n_iterations": 3, "m_min": -1e308, "m_max": 1e308}}',
             '{"swarm": {"n_iterations": 200, "m_min": -1e9}}',
             '{"swarm": {"n_particles": 8}}',
+            '{"swarm": {"n_iterations": 2, "w_start": 1e300}}',
+            '{"swarm": {"n_iterations": 2, "c1": 4e297, "c2": 4e297, '
+            '"w_start": 8e297, "v_max": 1e10}}',
         ],
     )
     def test_malformed_config_values_exit_two(self, tmp_path, capsys, text):
@@ -653,6 +682,20 @@ class TestCli:
         assert main(["preset", "--simulation", "1", "--seed", "4", "--out", str(preset_dir)]) == 0
         for name in ("convergence.csv", "result.json"):
             assert (sweep_dir / "seed4" / name).read_bytes() == (preset_dir / name).read_bytes()
+
+    def test_sweep_builds_one_evaluator(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        build = ModelEvaluator.__init__
+
+        def counted(self):
+            builds.append(self)
+            build(self)
+
+        monkeypatch.setattr(ModelEvaluator, "__init__", counted)
+        runner._default_evaluator.cache_clear()
+        args = ["--simulation", "1", "--seed", "0", "--seeds", "3", "--out", str(tmp_path)]
+        assert main(["sweep", *args]) == 0
+        assert len(builds) == 1
 
     def test_sweep_needs_a_seed(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

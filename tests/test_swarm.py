@@ -100,6 +100,7 @@ class TestSwarmConfig:
             ("w_end", -0.1),
             ("m_min", 8.0e10),
             ("c1", 1.0e308),
+            ("w_start", 1.0e300),
             ("v_min", 0.0),
             ("v_min", 3.0e10),
             ("init_std", 0.0),
