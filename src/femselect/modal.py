@@ -3,12 +3,14 @@
 Two paths solve K phi = lambda M phi. The dense path (LAPACK via scipy)
 factors the full M, verifies the residual contract on the returned pairs,
 and is the reference for frequencies and mode shapes. The planar path
-serves fitness evaluations: a frame lying in the z = 0 plane decouples
-exactly into in-plane (ux, uy, rz) and out-of-plane (uz, rx, ry) DOFs, so
-each half is pre-whitened once by its own mass Cholesky factor and every
-candidate costs two standard symmetric eigenvalue solves of half the size.
-Rigid-body modes are detected by a scale-free eigenvalue ratio against
-the seventh-smallest eigenvalue.
+serves fitness evaluations and uses numpy alone: a frame lying in the
+z = 0 plane decouples exactly into in-plane (ux, uy, rz) and out-of-plane
+(uz, rx, ry) DOFs, so each half is pre-whitened once by the inverse
+square root of its own mass block and every candidate costs two standard
+symmetric eigenvalue solves of half the size. scipy is imported only
+inside the dense functions, so a run that asks for no mode shapes never
+loads it. Rigid-body modes are detected by a scale-free eigenvalue ratio
+against the seventh-smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .beam_structure import DOF_PER_NODE, MeasuredData
 from .fem import GlobalSystem
@@ -68,6 +69,8 @@ def _check_pair(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_positive_definite(m: np.ndarray) -> None:
+    import scipy.linalg
+
     try:
         scipy.linalg.cholesky(m, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -95,6 +98,8 @@ def solve_generalized_eigen(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, n
     ||K phi|| <= tol ||K|| ||phi||, else a ConvergenceError carrying the
     worst achieved ratio is raised.
     """
+    import scipy.linalg
+
     k, m = _check_pair(k, m)
     _require_positive_definite(m)
     try:
@@ -126,6 +131,8 @@ def solve_generalized_eigen(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _dense_eigenvalues(k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     k, m = _check_pair(k, m)
     try:
         return scipy.linalg.eigh(k, m, eigvals_only=True)
@@ -142,11 +149,13 @@ def planar_dof_split(n_dofs: int) -> tuple[np.ndarray, np.ndarray]:
 def planar_standard_form(k_stack: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Whiten a stack of (E, n, n) stiffnesses of a frame in z = 0.
 
-    Each half b of the DOF split gets M_bb = L_b L_b^T once, and every
-    stiffness becomes L_b^-1 K_bb L_b^-T by two triangular solves; the
-    result has shape (E, 2, n/2, n/2) with the in-plane block first, and
-    the eigenvalues of a stiffness's two blocks are those of (K, M). Any
-    non-zero coupling entry between the halves, in K or in M, raises
+    Each half b of the DOF split gets R_b = M_bb^(-1/2), the symmetric
+    inverse root from one `np.linalg.eigh` of the mass block, and every
+    stiffness becomes the symmetrized R_b K_bb R_b; the result has shape
+    (E, 2, n/2, n/2) with the in-plane block first, and the eigenvalues
+    of a stiffness's two blocks are those of (K, M). A mass block that is
+    not positive definite raises DecompositionError. Any non-zero
+    coupling entry between the halves, in K or in M, raises
     StructureError: the split is exact or not used.
     """
     k_stack = np.asarray(k_stack, dtype=float)
@@ -160,14 +169,18 @@ def planar_standard_form(k_stack: np.ndarray, m: np.ndarray) -> np.ndarray:
         raise StructureError("in-plane and out-of-plane DOFs are coupled")
     whitened = np.empty((k_stack.shape[0], 2, in_plane.size, in_plane.size))
     for j, b in enumerate(blocks):
-        try:
-            l_factor = scipy.linalg.cholesky(m[np.ix_(b, b)], lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise DecompositionError(f"mass matrix is not positive definite: {exc}") from exc
-        for e, k in enumerate(k_stack[:, b[:, None], b]):
-            half = scipy.linalg.solve_triangular(l_factor, k, lower=True)
-            w = scipy.linalg.solve_triangular(l_factor, half.T, lower=True)
-            whitened[e, j] = 0.5 * (w + w.T)
+        d, q = np.linalg.eigh(m[np.ix_(b, b)])
+        # Roundoff leaves a singular block a smallest eigenvalue of either
+        # sign near eps * d[-1], so positive is not enough: the block must
+        # have full numerical rank.
+        if not d[0] > b.size * np.finfo(float).eps * d[-1]:
+            raise DecompositionError(
+                "mass matrix is not positive definite: eigenvalues of a planar "
+                f"block span [{d[0]:.3e}, {d[-1]:.3e}]"
+            )
+        root = (q / np.sqrt(d)) @ q.T
+        w = root @ k_stack[:, b[:, None], b] @ root
+        whitened[:, j] = 0.5 * (w + w.transpose(0, 2, 1))
     return whitened
 
 

@@ -216,10 +216,11 @@ class ModelEvaluator:
     scales with E at fixed Poisson ratio), so one unit-modulus stiffness
     per element is precomputed and a candidate's K is a weighted sum of
     the stack. The mass matrix never changes, so the unit stiffnesses are
-    also kept split into planar halves and whitened by the mass factors
-    (`planar_standard_form`); a candidate's spectrum is then a weighted
-    sum of that stack and two half-size standard eigenvalue solves. A
-    batch of candidates shares one eigenvalue call.
+    also kept split into planar halves and whitened by the inverse square
+    roots of the mass blocks (`planar_standard_form`, numpy alone); a
+    candidate's spectrum is then a weighted sum of that stack and two
+    half-size standard eigenvalue solves. A batch of candidates shares
+    one eigenvalue call.
 
     Every build yields the same arrays, so a process builds one through
     `_default_evaluator()` and every run, score and description shares

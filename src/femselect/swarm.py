@@ -117,6 +117,10 @@ class SwarmConfig:
             raise ValueError(
                 f"{key} is too large: w * v_max + (c1 + c2) * (m_max - m_min) overflows"
             )
+        # The position update adds a velocity of at most v_max to a position
+        # in [m_min, m_max].
+        if not (math.isfinite(self.m_max + self.v_max) and math.isfinite(self.m_min - self.v_max)):
+            raise ValueError("v_max is too large: m_max + v_max or m_min - v_max overflows")
         if not 0.0 < self.v_min < self.v_max:
             raise ValueError("v_min must satisfy 0 < v_min < v_max")
         if self.init_std <= 0:

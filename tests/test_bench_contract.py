@@ -10,7 +10,10 @@ the configs and the command lines.
 
 import importlib.util
 import inspect
+import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,6 +24,8 @@ from femselect import cli, runner, swarm
 from femselect.beam_structure import model_catalog
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
+SCIPY_LOADED = "any(n == 'scipy' or n.startswith('scipy.') for n in sys.modules)"
 
 
 def _load(name: str):
@@ -132,3 +137,45 @@ def test_reference_checker_agrees_with_the_fitness_path():
         fast = runner.evaluate_model(model, np.array(position), "SSE").value
         reference = checker.score(model.model_id, position, "SSE")
         assert math.isclose(fast, reference, rel_tol=checks.SCORE_RTOL)
+
+
+def _python(code: str, *args: str) -> list[str]:
+    """Lines a fresh interpreter prints for `python -c code args`."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=120, check=True, env=env,
+    )
+    return done.stdout.split()
+
+
+def test_setup_code_loads_no_scipy(bench):
+    # setup_s times this code; the fitness path must not pay for scipy.
+    elapsed, loaded = _python(f"{bench.SETUP_CODE}\nprint({SCIPY_LOADED})", str(SRC))
+    assert float(elapsed) > 0.0
+    assert loaded == "False"
+
+
+def test_only_mode_shapes_load_scipy(tmp_path):
+    configs = []
+    for shapes in (False, True):
+        config = tmp_path / f"shapes{int(shapes)}.json"
+        config.write_text(json.dumps({
+            "preset": 2,
+            "output_dir": str(tmp_path / config.stem),
+            "emit_mode_shapes": shapes,
+            "swarm": {"n_iterations": 2},
+        }))
+        configs.append(str(config))
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from femselect.cli import main
+for config in sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--config", config])
+    print(code, {SCIPY_LOADED})
+"""
+    assert _python(code, str(SRC), *configs) == ["0", "False", "0", "True"]
+    assert not (tmp_path / "shapes0" / "mode_shapes.csv").exists()
+    assert (tmp_path / "shapes1" / "mode_shapes.csv").stat().st_size > 0

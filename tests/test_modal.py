@@ -202,6 +202,60 @@ class TestPlanarSplit:
         with pytest.raises(StructureError):
             runner.ModelEvaluator()
 
+    @pytest.mark.parametrize("kind", ["indefinite", "singular"])
+    def test_mass_without_full_rank_rejected(self, h_system, kind):
+        in_plane, _ = planar_dof_split(78)
+        m = h_system.m_global.copy()
+        dof = in_plane[4]
+        if kind == "indefinite":
+            m[dof, dof] = -m[dof, dof]
+        else:
+            # Project one in-plane direction out: the block stays symmetric
+            # and uncoupled but loses rank, and roundoff alone may leave its
+            # smallest eigenvalue positive.
+            v = np.zeros(78)
+            v[in_plane[3]], v[dof] = 1.0, -1.0
+            p = np.eye(78) - np.outer(v, v) / 2.0
+            m = p @ m @ p
+        with pytest.raises(DecompositionError):
+            planar_standard_form(h_system.k_global[None], m)
+
+    def test_whitened_blocks_are_exactly_symmetric(self, evaluator):
+        blocks = evaluator._whitened_stiffness
+        np.testing.assert_array_equal(blocks, blocks.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_whitening_matches_triangular_solves(self, evaluator, seed):
+        # The reference whitens each half by its mass Cholesky factor with
+        # two triangular solves, L^-1 K L^-T; both forms have the
+        # eigenvalues of the pair (K, M). A backward-stable symmetric solve
+        # errs by a small multiple of eps * ||W||, and ||W|| is about 7e5
+        # times the seventh eigenvalue here, so the two forms differ at
+        # ranks 7-13 by up to 1.3e-11 relative (0.43 eps ||W|| at most over
+        # these six moduli) and are compared on that absolute scale.
+        moduli = (
+            np.full(12, 7.2e10)
+            if seed is None
+            else np.random.default_rng(seed).uniform(5.5e10, 7.5e10, 12)
+        )
+        k = evaluator.stiffness(moduli)
+        m = evaluator.m_global
+        reference = []
+        for b in planar_dof_split(78):
+            l_factor = scipy.linalg.cholesky(m[np.ix_(b, b)], lower=True)
+            half = scipy.linalg.solve_triangular(l_factor, k[np.ix_(b, b)], lower=True)
+            w = scipy.linalg.solve_triangular(l_factor, half.T, lower=True)
+            reference.extend(np.linalg.eigvalsh(0.5 * (w + w.T)))
+        reference = np.sort(reference)
+        blocks = planar_standard_form(k[None], m)[0]
+        ranks = slice(6, 13)
+        np.testing.assert_allclose(
+            generalized_eigenvalues(blocks)[ranks],
+            reference[ranks],
+            rtol=0.0,
+            atol=2.0 * np.finfo(float).eps * reference[-1],
+        )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_evaluator_rejects_non_finite_moduli(self, evaluator, bad):
         moduli = np.full(12, 7.2e10)

@@ -656,6 +656,8 @@ class TestCli:
             '{"swarm": {"n_iterations": 2, "w_start": 1e300}}',
             '{"swarm": {"n_iterations": 2, "c1": 4e297, "c2": 4e297, '
             '"w_start": 8e297, "v_max": 1e10}}',
+            '{"swarm": {"n_iterations": 2, "m_min": 1e308, "m_max": 1.5e308, "v_max": 1e308, '
+            '"v_min": 1.0, "c1": 0.1, "c2": 0.1, "init_mean": 1.2e308}}',
         ],
     )
     def test_malformed_config_values_exit_two(self, tmp_path, capsys, text):

@@ -115,6 +115,23 @@ class TestSwarmConfig:
         assert str(excinfo.value).split()[0] == field
 
     @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"m_min": 1e308, "m_max": 1.5e308, "init_mean": 1.2e308},
+            {"m_min": -1.5e308, "m_max": -1e308, "init_mean": -1.2e308},
+        ],
+    )
+    def test_validate_names_v_max_when_the_position_update_overflows(self, bounds):
+        # The velocity bound itself is finite here; only position + velocity
+        # leaves the float range.
+        config = dataclasses.replace(
+            SwarmConfig(), v_max=1e308, v_min=1.0, c1=0.1, c2=0.1, **bounds
+        )
+        with pytest.raises(ValueError) as excinfo:
+            config.validate()
+        assert str(excinfo.value).split()[0] == "v_max"
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("c1", math.nan),
