@@ -5,7 +5,8 @@ output checks re-score winners through the dense modal path, and the
 driver writes config files and command lines for the CLI. A rename or a
 deleted config key there would make the benchmark read zero for a layer
 or fail to run, so these tests pin the names, the evaluate signature,
-the configs and the command lines.
+the configs and the command lines. They also pin that the set-up the
+benchmark times, and every run without mode shapes, loads no scipy.
 """
 
 import importlib.util
