@@ -6,11 +6,14 @@ and is the reference for frequencies and mode shapes. The planar path
 serves fitness evaluations and uses numpy alone: a frame lying in the
 z = 0 plane decouples exactly into in-plane (ux, uy, rz) and out-of-plane
 (uz, rx, ry) DOFs, so each half is pre-whitened once by the inverse
-square root of its own mass block and every candidate costs two standard
-symmetric eigenvalue solves of half the size. scipy is imported only
-inside the dense functions, so a run that asks for no mode shapes never
-loads it. Rigid-body modes are detected by a scale-free eigenvalue ratio
-against the seventh-smallest eigenvalue.
+square root of its own mass block. A frame that is also symmetric about
+y = 0, with mirror partners sharing one modulus, splits each whitened
+half once more into the DOF combinations the mirror keeps and those it
+negates, so every candidate costs four standard symmetric eigenvalue
+solves of about a quarter of the size. scipy is imported only inside the
+dense functions, so a run that asks for no mode shapes never loads it.
+Rigid-body modes are detected by a scale-free eigenvalue ratio against
+the seventh-smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -19,15 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_structure import DOF_PER_NODE, MeasuredData
+from .beam_structure import DOF_PER_NODE, BeamGeometry, MeasuredData
 from .fem import GlobalSystem
 
 RIGID_BODY_RATIO = 1e-6
 # Relative residual every pair of the dense solve must meet.
 RESIDUAL_TOLERANCE = 1e-9
 _EXPECTED_RIGID_MODES = 6
-# Per-node DOFs (ux, uy, uz, rx, ry, rz) that stay in the z = 0 plane.
+# Per-node DOFs (ux, uy, uz, rx, ry, rz) that stay in the z = 0 plane,
+# and the others, each in ascending order as `planar_dof_split` keeps them.
 _IN_PLANE_DOFS = (0, 1, 5)
+_OUT_OF_PLANE_DOFS = (2, 3, 4)
+# Sign each per-node DOF takes under the mirror y -> -y.
+_MIRROR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+# Largest symmetric-antisymmetric coupling `mirror_standard_form` may drop,
+# relative to the largest entry of the block it splits. On a mirror-
+# symmetric frame the coupling is roundoff of the whitening (4e-12 on the
+# H-beam); a frame or mass that breaks the mirror leaves coupling of the
+# order of its asymmetry.
+MIRROR_COUPLING_TOLERANCE = 1e-10
 
 
 class EigenSolveError(Exception):
@@ -184,17 +197,114 @@ def planar_standard_form(k_stack: np.ndarray, m: np.ndarray) -> np.ndarray:
     return whitened
 
 
-def generalized_eigenvalues(blocks: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a planar pair from its standard-form
-    blocks (2, n, n), as made by `planar_standard_form`; the fast path
-    for fitness evaluations. A (P, 2, n, n) stack of pairs is solved in
-    one call and gives (P, 2n); the solve of each block does not depend
-    on the stack around it."""
+def mirror_partners(geometry: BeamGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """0-based node and element partners under the mirror y -> -y.
+
+    A node's partner is the node at (x, -y, z), which is the node itself
+    on the axis; an element's partner joins the partners of its two
+    nodes. A node or an
+    element without a partner raises StructureError.
+    """
+    nodes = geometry.nodes
+    matches = np.all(nodes[:, None, :] == nodes[None, :, :] * [1.0, -1.0, 1.0], axis=-1)
+    unmatched = np.flatnonzero(~matches.any(axis=1))
+    if unmatched.size:
+        raise StructureError(f"node {unmatched[0]} has no mirror partner")
+    node_partner = matches.argmax(axis=1)
+    by_ends = {frozenset((e.node_a, e.node_b)): i for i, e in enumerate(geometry.elements)}
+    element_partner = []
+    for element in geometry.elements:
+        ends = frozenset((node_partner[element.node_a], node_partner[element.node_b]))
+        if ends not in by_ends:
+            raise StructureError(f"element {element.element_id} has no mirror partner")
+        element_partner.append(by_ends[ends])
+    return node_partner, np.array(element_partner)
+
+
+def _mirror_basis(
+    node_partner: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Mirror basis of one plane's DOFs (three per node), unnormalized:
+    first the symmetric combinations, which the mirror keeps, then the
+    antisymmetric ones, which it negates. A DOF a of a node on the axis
+    gives e_a; a DOF a and its partner b, with mirror sign s, give
+    e_a + s e_b and e_a - s e_b. Returns the 0/+-1 columns, which of them
+    combine a pair, and the number of symmetric ones."""
+    n = len(signs) * len(node_partner)
+    columns: dict[float, list[np.ndarray]] = {1.0: [], -1.0: []}
+    for node, partner in enumerate(node_partner):
+        if partner < node:
+            continue
+        for k, sign in enumerate(signs):
+            a, b = len(signs) * node + k, len(signs) * partner + k
+            if partner == node:
+                column = np.zeros(n)
+                column[a] = 1.0
+                columns[sign].append(column)
+                continue
+            for parity in (1.0, -1.0):
+                column = np.zeros(n)
+                column[a], column[b] = 1.0, parity * sign
+                columns[parity].append(column)
+    basis = np.column_stack(columns[1.0] + columns[-1.0])
+    return basis, np.count_nonzero(basis, axis=0) == 2, len(columns[1.0])
+
+
+def mirror_standard_form(
+    whitened: np.ndarray, node_partner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split planar standard-form blocks (E, 2, n, n), as made by
+    `planar_standard_form`, of a frame symmetric about y = 0 by its
+    mirror.
+
+    Each block W becomes B^T W B in the orthonormal mirror basis B, and
+    its two diagonal blocks, symmetrized, are kept. B is the 0/+-1 basis
+    U of `_mirror_basis` with each pair column divided by sqrt(2), so
+    U^T W U is formed first and entry (i, j) scaled by 1, 1/sqrt(2) or
+    exactly 1/2 as i and j combine pairs; a rounded 1/sqrt(2) squared is
+    not 1/2. The first stack (E, 2, k, k) holds the in-plane symmetric
+    and the out-of-plane antisymmetric blocks, the second
+    (E, 2, n-k, n-k) the other two; the eigenvalues of the four blocks
+    are those of W's two. Only a W that the mirror maps onto itself
+    splits exactly, so a dropped coupling entry above
+    MIRROR_COUPLING_TOLERANCE times max|W| raises StructureError.
+    """
+    symmetric, antisymmetric = [], []
+    for j, dofs in enumerate((_IN_PLANE_DOFS, _OUT_OF_PLANE_DOFS)):
+        basis, pairs, n_sym = _mirror_basis(node_partner, _MIRROR_SIGNS[list(dofs)])
+        n_pairs = pairs.astype(int)
+        entry_scale = 0.5 ** (np.add.outer(n_pairs, n_pairs) / 2)
+        t = (basis.T @ whitened[:, j] @ basis) * entry_scale
+        coupling = np.abs(t[:, :n_sym, n_sym:]).max()
+        largest = np.abs(whitened[:, j]).max()
+        if not coupling <= MIRROR_COUPLING_TOLERANCE * largest:
+            raise StructureError(
+                f"mirror coupling {coupling / largest:.3e} of max|W| exceeds "
+                f"{MIRROR_COUPLING_TOLERANCE:.0e}: the frame is not mirror-symmetric"
+            )
+        t = 0.5 * (t + t.transpose(0, 2, 1))
+        symmetric.append(t[:, :n_sym, :n_sym])
+        antisymmetric.append(t[:, n_sym:, n_sym:])
+    (in_sym, out_sym), (in_anti, out_anti) = symmetric, antisymmetric
+    return np.stack([in_sym, out_anti], axis=1), np.stack([in_anti, out_sym], axis=1)
+
+
+def generalized_eigenvalues(blocks: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
+    """Ascending eigenvalues of a pair from its standard-form blocks; the
+    fast path for fitness evaluations.
+
+    `blocks` is one (2, n, n) array, as made by `planar_standard_form`,
+    or a tuple of block arrays, as made by `mirror_standard_form`; the
+    eigenvalues of every block are merged. A leading (P,) axis on every
+    array solves P pairs in one call and gives (P, total); the solve of
+    each block does not depend on the stack around it.
+    """
+    stacks = (blocks,) if isinstance(blocks, np.ndarray) else blocks
     try:
-        per_block = np.linalg.eigvalsh(blocks)
+        per_stack = [np.linalg.eigvalsh(stack) for stack in stacks]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"planar symmetric solver did not converge: {exc}") from exc
-    merged = per_block.reshape(*per_block.shape[:-2], -1)
+    merged = np.concatenate([v.reshape(*v.shape[:-2], -1) for v in per_stack], axis=-1)
     return np.sort(merged, axis=-1, kind="stable")
 
 

@@ -46,6 +46,8 @@ from .modal import (
     free_free_result,
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
+    mirror_partners,
+    mirror_standard_form,
     planar_standard_form,
     solve_generalized_eigen,
 )
@@ -216,11 +218,15 @@ class ModelEvaluator:
     scales with E at fixed Poisson ratio), so one unit-modulus stiffness
     per element is precomputed and a candidate's K is a weighted sum of
     the stack. The mass matrix never changes, so the unit stiffnesses are
-    also kept split into planar halves and whitened by the inverse square
-    roots of the mass blocks (`planar_standard_form`, numpy alone); a
-    candidate's spectrum is then a weighted sum of that stack and two
-    half-size standard eigenvalue solves. A batch of candidates shares
-    one eigenvalue call.
+    also split into planar halves and whitened by the inverse square
+    roots of the mass blocks (`planar_standard_form`, numpy alone). The
+    frame is symmetric about y = 0 and every catalog model gives mirror
+    partners (elements 1 and 4, 2 and 3, 11 and 12, derived from the
+    geometry) one modulus, so the whitened stiffnesses of each class of
+    partners are summed and each half is split by the mirror
+    (`mirror_standard_form`). A candidate's spectrum is then two weighted
+    sums of those class stacks and four standard eigenvalue solves of 16
+    or 23 DOFs. A batch of candidates shares one eigenvalue call.
 
     Every build yields the same arrays, so a process builds one through
     `_default_evaluator()` and every run, score and description shares
@@ -255,10 +261,30 @@ class ModelEvaluator:
             m_global[idx] += global_mats.mass
         self._unit_stiffness = stack
         self.m_global = m_global
-        self._whitened_stiffness = planar_standard_form(stack, m_global)
+
+        node_partner, element_partner = mirror_partners(geometry)
+        # Each class of mirror partners shares one modulus: the first
+        # element of a class stands for it, and the pairs are checked.
+        elements = np.arange(ELEMENT_COUNT)
+        self._classes = np.flatnonzero(elements <= element_partner)
+        self._mirror_pairs = np.column_stack([elements, element_partner])[
+            elements < element_partner
+        ]
+        whitened = planar_standard_form(stack, m_global)
+        summed = whitened[self._classes]
+        for a, b in self._mirror_pairs:
+            summed[self._classes == a] += whitened[b]
+        self._mirror_blocks = mirror_standard_form(summed, node_partner)
         self._ranks = np.asarray(self.measured.mode_indices) - 1
         # One evaluator serves every run of the process.
-        for arr in (self._unit_stiffness, self.m_global, self._whitened_stiffness, self._ranks):
+        for arr in (
+            self._unit_stiffness,
+            self.m_global,
+            self._classes,
+            self._mirror_pairs,
+            *self._mirror_blocks,
+            self._ranks,
+        ):
             arr.setflags(write=False)
 
     def stiffness(self, moduli: np.ndarray) -> np.ndarray:
@@ -266,29 +292,38 @@ class ModelEvaluator:
         return np.tensordot(moduli, self._unit_stiffness, axes=1)
 
     def _eigenvalues(self, moduli: np.ndarray) -> tuple[np.ndarray, dict[int, EigenSolveError]]:
-        """Ascending planar spectra of (P, 12) element moduli, one row each,
-        from one eigenvalue call; nan rows for the errors returned."""
+        """Ascending spectra of (P, 12) element moduli, one row each, from
+        one eigenvalue call on the mirror blocks; nan rows for the errors
+        returned. Moduli that differ between mirror partners raise
+        ValueError: the mirror split does not hold for them."""
         if not np.all(np.isfinite(moduli)):
             raise ValueError("element moduli must be finite")
-        whitened = self._whitened_stiffness
-        flat = whitened.reshape(ELEMENT_COUNT, -1)
-        blocks = np.empty((len(moduli), flat.shape[1]))
-        # One vector-matrix product per row: a single (P, 12) @ (12, N)
-        # product rounds differently, and scores must not depend on P.
-        for i, row in enumerate(moduli):
-            blocks[i] = row @ flat
-        blocks = blocks.reshape(len(moduli), *whitened.shape[1:])
+        left, right = self._mirror_pairs.T
+        differ = np.any(moduli[:, left] != moduli[:, right], axis=0)
+        if np.any(differ):
+            a, b = self._mirror_pairs[np.argmax(differ)] + 1
+            raise ValueError(f"elements {a} and {b} are mirror partners and need one modulus")
+        class_moduli = moduli[:, self._classes]
+        stacks = []
+        for blocks in self._mirror_blocks:
+            flat = blocks.reshape(len(blocks), -1)
+            rows = np.empty((len(moduli), flat.shape[1]))
+            # One vector-matrix product per row: a single (P, 9) @ (9, N)
+            # product rounds differently, and scores must not depend on P.
+            for i, row in enumerate(class_moduli):
+                rows[i] = row @ flat
+            stacks.append(rows.reshape(len(moduli), *blocks.shape[1:]))
         try:
-            return generalized_eigenvalues(blocks), {}
+            return generalized_eigenvalues(tuple(stacks)), {}
         except ConvergenceError:
             pass
-        # One failed block fails the whole stack: solve each pair again to
-        # charge the failure to its own row.
-        eigenvalues = np.full((len(moduli), 2 * whitened.shape[-1]), math.nan)
+        # One failed block fails the whole call: solve each row's blocks
+        # again to charge the failure to its own row.
+        eigenvalues = np.full((len(moduli), self.m_global.shape[0]), math.nan)
         errors: dict[int, EigenSolveError] = {}
-        for i, pair in enumerate(blocks):
+        for i in range(len(moduli)):
             try:
-                eigenvalues[i] = generalized_eigenvalues(pair)
+                eigenvalues[i] = generalized_eigenvalues(tuple(stack[i] for stack in stacks))
             except ConvergenceError as exc:
                 errors[i] = exc
         return eigenvalues, errors
@@ -308,7 +343,7 @@ class ModelEvaluator:
         objective_kind: ObjectiveKind,
     ) -> tuple[ObjectiveValue, dict[int, EigenSolveError]]:
         """Score row i of the (P, 5) positions as models[i]: element
-        moduli -> whitened K blocks -> eigenvalues -> measured-rank
+        moduli -> whitened mirror blocks -> eigenvalues -> measured-rank
         frequencies -> residuals -> objective, with one eigenvalue call
         for all rows. Returns the scores as (P,) arrays and the
         eigensolver error of each failed row, whose score is nan. Invalid

@@ -18,6 +18,7 @@ from femselect.beam_structure import (
     measured_data,
     model_catalog,
 )
+from femselect.modal import mirror_partners
 
 
 class TestGeometry:
@@ -159,6 +160,17 @@ class TestModelCatalog:
         for model in catalog:
             ids = sorted(i for group in model.groups for i in group)
             assert ids == list(range(1, 13))
+
+    def test_groups_are_closed_under_the_mirror(self, geometry, catalog):
+        # The fitness path splits K by the mirror y -> -y, which needs
+        # mirror partners to share a modulus in every model.
+        _, element_partner = mirror_partners(geometry)
+        assert sorted(
+            (i + 1, int(j) + 1) for i, j in enumerate(element_partner) if i < j
+        ) == [(1, 4), (2, 3), (11, 12)]
+        for model in catalog:
+            for group in model.groups:
+                assert {int(element_partner[e - 1]) + 1 for e in group} == group
 
     def test_model_2_separates_joint_neighbourhoods(self, catalog):
         m2 = catalog[1]

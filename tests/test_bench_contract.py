@@ -71,6 +71,34 @@ def test_tracer_sees_one_eigen_solve_per_evaluation(tracing):
     assert tracing.span_problems(tracer) == []
 
 
+def test_a_batch_solves_every_block_inside_one_eigen_call(monkeypatch):
+    # The tracer's modal.eigvals span wraps runner.generalized_eigenvalues,
+    # so it covers the solve only if every eigvalsh of a batch runs there.
+    real_solve, real_eigvalsh = runner.generalized_eigenvalues, np.linalg.eigvalsh
+    depth, solves, inside = [0], [], []
+
+    def solve(blocks):
+        solves.append(None)
+        depth[0] += 1
+        try:
+            return real_solve(blocks)
+        finally:
+            depth[0] -= 1
+
+    def eigvalsh(a, *args, **kwargs):
+        inside.append(depth[0] > 0)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    evaluator = runner._default_evaluator()
+    positions = np.random.default_rng(0).uniform(5.5e10, 7.5e10, (8, 5))
+    monkeypatch.setattr(runner, "generalized_eigenvalues", solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    _, errors = evaluator.evaluate_batch(model_catalog(), positions, "AIC")
+    assert errors == {}
+    assert len(solves) == 1
+    assert inside and all(inside)
+
+
 def test_one_batched_eigen_solve_per_swarm_iteration(tracing, tmp_path):
     config = runner.ExperimentConfig(
         swarm=swarm.SwarmConfig(n_iterations=3, seed=0), output_dir=tmp_path / "out"

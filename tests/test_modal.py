@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from conftest import (
     straight_beam_geometry,
 )
 from femselect import runner
+from femselect.beam_structure import element_modulus_vector
 from femselect.fem import ElementMatrices, GlobalSystem, assemble
 from femselect.modal import (
     RESIDUAL_TOLERANCE,
@@ -221,8 +224,8 @@ class TestPlanarSplit:
             planar_standard_form(h_system.k_global[None], m)
 
     def test_whitened_blocks_are_exactly_symmetric(self, evaluator):
-        blocks = evaluator._whitened_stiffness
-        np.testing.assert_array_equal(blocks, blocks.swapaxes(-1, -2))
+        for blocks in evaluator._mirror_blocks:
+            np.testing.assert_array_equal(blocks, blocks.swapaxes(-1, -2))
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
     def test_whitening_matches_triangular_solves(self, evaluator, seed):
@@ -255,6 +258,74 @@ class TestPlanarSplit:
             rtol=0.0,
             atol=2.0 * np.finfo(float).eps * reference[-1],
         )
+
+    @pytest.mark.parametrize("model_index", range(8))
+    def test_mirror_split_matches_planar_blocks(self, evaluator, catalog, model_index):
+        # Ranks 7-13 of the four mirror blocks against the two 39x39
+        # planar blocks of the same K, at nominal and at seeded in-box
+        # positions; both solves err by a small multiple of eps * ||W||.
+        model = catalog[model_index]
+        positions = [np.full(5, 7.2e10)] + [
+            np.random.default_rng(seed).uniform(5.5e10, 7.5e10, 5) for seed in range(4)
+        ]
+        ranks = slice(6, 13)
+        for position in positions:
+            moduli = element_modulus_vector(model, position)
+            blocks = planar_standard_form(evaluator.stiffness(moduli)[None], evaluator.m_global)
+            reference = generalized_eigenvalues(blocks[0])
+            mirror = (2.0 * np.pi * evaluator.spectrum(moduli).frequencies_hz) ** 2
+            np.testing.assert_allclose(
+                mirror[ranks],
+                reference[ranks],
+                rtol=0.0,
+                atol=2.0 * np.finfo(float).eps * reference[-1],
+            )
+
+    def test_mirror_blocks_keep_the_rigid_modes(self, evaluator):
+        # In-plane: ux symmetric, uy and rz antisymmetric; out-of-plane: uz
+        # and ry symmetric, rx antisymmetric.
+        spectrum = evaluator.spectrum(np.full(12, 7.2e10))
+        threshold = RIGID_BODY_RATIO * (2.0 * np.pi * spectrum.frequencies_hz[6]) ** 2
+        counts = []
+        for blocks in evaluator._mirror_blocks:
+            summed = np.tensordot(np.full(9, 7.2e10), blocks, axes=1)
+            counts.append([int(np.sum(np.linalg.eigvalsh(b) < threshold)) for b in summed])
+        assert [b.shape[-1] for b in evaluator._mirror_blocks] == [16, 23]
+        assert counts == [[1, 1], [2, 2]]
+
+    def test_spectrum_rejects_moduli_that_break_the_mirror(self, evaluator):
+        moduli = np.full(12, 7.2e10)
+        moduli[11] = 6.0e10
+        with pytest.raises(ValueError, match="elements 11 and 12"):
+            evaluator.spectrum(moduli)
+
+    def test_evaluator_rejects_a_frame_without_mirror_partners(self, monkeypatch):
+        real_geometry = runner.build_h_beam_geometry
+
+        def shifted_geometry():
+            geometry = real_geometry()
+            nodes = geometry.nodes.copy()
+            nodes[12, 1] += 1e-3
+            return dataclasses.replace(geometry, nodes=nodes)
+
+        monkeypatch.setattr(runner, "build_h_beam_geometry", shifted_geometry)
+        with pytest.raises(StructureError, match="mirror partner"):
+            runner.ModelEvaluator()
+
+    def test_evaluator_rejects_mass_that_breaks_the_mirror(self, monkeypatch):
+        real_matrices = runner.beam_element_matrices
+        calls = []
+
+        def heavier_first_element(**kwargs):
+            mats = real_matrices(**kwargs)
+            calls.append(None)
+            if len(calls) == 1:
+                return ElementMatrices(stiffness=mats.stiffness, mass=1.01 * mats.mass)
+            return mats
+
+        monkeypatch.setattr(runner, "beam_element_matrices", heavier_first_element)
+        with pytest.raises(StructureError, match="mirror coupling"):
+            runner.ModelEvaluator()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_evaluator_rejects_non_finite_moduli(self, evaluator, bad):

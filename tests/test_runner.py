@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import NOMINAL_AIC, NOMINAL_SIGMA_SQUARED, NOMINAL_SSE
 from femselect import runner
+from femselect.beam_structure import ModelSpec
 from femselect.cli import main
 from femselect.fem import assemble
 from femselect.modal import ConvergenceError, StructureError
@@ -296,7 +297,7 @@ class TestModelEvaluator:
         evaluator = runner._default_evaluator()
         with pytest.raises(ValueError, match="read-only"):
             evaluator.m_global[0, 0] = 1.0
-        for array in (evaluator._unit_stiffness, evaluator._whitened_stiffness, evaluator._ranks):
+        for array in (evaluator._unit_stiffness, *evaluator._mirror_blocks, evaluator._ranks):
             assert not array.flags.writeable
 
 
@@ -305,23 +306,21 @@ def in_bound_positions(seed: int, n: int = 8) -> np.ndarray:
 
 
 class FailingEigvalsh:
-    """Stands in for `np.linalg.eigvalsh`: a call on a stack of pairs
-    raises LinAlgError, and so does the call on the single pair of row
-    `bad_row`; every other pair is solved as usual."""
+    """Stands in for `np.linalg.eigvalsh`: a call on a stack of rows
+    raises LinAlgError, and so does a later call on the blocks that row
+    `bad_row` had in that stack; every other call is solved as usual."""
 
     def __init__(self, bad_row: int):
         self.real = np.linalg.eigvalsh
         self.bad_row = bad_row
-        self.pair_calls = 0
+        self.bad_blocks = None
 
     def __call__(self, blocks):
         if blocks.ndim == 4:
-            self.pair_calls = 0
+            self.bad_blocks = blocks[self.bad_row].copy()
             raise np.linalg.LinAlgError("stack did not converge")
-        row = self.pair_calls
-        self.pair_calls += 1
-        if row == self.bad_row:
-            raise np.linalg.LinAlgError(f"row {row} did not converge")
+        if self.bad_blocks is not None and np.array_equal(blocks, self.bad_blocks):
+            raise np.linalg.LinAlgError(f"row {self.bad_row} did not converge")
         return self.real(blocks)
 
 
@@ -337,6 +336,12 @@ class TestEvaluateBatch:
             single, _ = evaluator.evaluate_batch((model,), position[None], kind)
             assert batch.value[i] == scalar.value == single.value[0]
             assert batch.sigma_squared[i] == scalar.sigma_squared
+
+    def test_rejects_a_model_that_breaks_the_mirror(self, evaluator):
+        # Elements 2 and 3 are mirror partners; no catalog model splits them.
+        model = ModelSpec(9, (frozenset({2}), frozenset(set(range(1, 13)) - {2})), 2)
+        with pytest.raises(ValueError, match="elements 2 and 3"):
+            evaluator.evaluate_batch((model,), in_bound_positions(0, 1), "AIC")
 
     def test_rejects_invalid_positions(self, evaluator, catalog):
         positions = in_bound_positions(0)
