@@ -6,9 +6,8 @@ them in; the experiment runner writes them to disk.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .swarm import SwarmConfig
@@ -51,19 +50,6 @@ class RankingEntry:
     d: int
     fitness: float
     position: tuple[float, ...]
-
-
-def sort_ranking(entries: Sequence[RankingEntry]) -> tuple[RankingEntry, ...]:
-    """Order models best-first: ascending fitness, then fewer parameters,
-    then lower model id. A nan fitness sorts last."""
-
-    def key(entry: RankingEntry) -> tuple[float, int, int]:
-        value = entry.fitness
-        if math.isnan(value):
-            value = math.inf
-        return (value, entry.d, entry.model_id)
-
-    return tuple(sorted(entries, key=key))
 
 
 @dataclass(frozen=True)

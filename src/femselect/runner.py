@@ -86,6 +86,14 @@ PRESETS: dict[int, tuple[str, str]] = {
 }
 
 
+def _preset_settings(preset: object) -> tuple[str, str]:
+    """(inertia mode, objective kind) of a preset; anything but an int
+    key of PRESETS raises ConfigValidationError naming `preset`."""
+    if isinstance(preset, bool) or not isinstance(preset, int) or preset not in PRESETS:
+        raise ConfigValidationError("preset", f"unknown preset {preset}")
+    return PRESETS[preset]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     swarm: SwarmConfig
@@ -95,9 +103,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.preset is not None:
-            if isinstance(self.preset, bool) or self.preset not in PRESETS:
-                raise ConfigValidationError("preset", f"unknown preset {self.preset}")
-            mode, kind = PRESETS[self.preset]
+            mode, kind = _preset_settings(self.preset)
             if self.swarm.inertia_mode != mode:
                 raise ConfigValidationError(
                     "inertia_mode",
@@ -129,9 +135,7 @@ def preset_config(
 ) -> ExperimentConfig:
     """Standard settings for simulation 1-4: c1 = c2 = 2 everywhere, the
     objective and inertia mode as tabulated."""
-    if simulation not in PRESETS:
-        raise ConfigValidationError("preset", f"unknown preset {simulation}")
-    mode, kind = PRESETS[simulation]
+    mode, kind = _preset_settings(simulation)
     cfg = ExperimentConfig(
         swarm=SwarmConfig(inertia_mode=mode, objective_kind=kind, seed=seed),
         preset=simulation,
@@ -178,9 +182,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     kwargs = dict(swarm_data)
     preset = data.get("preset")
     if preset is not None:
-        if isinstance(preset, bool) or not isinstance(preset, int) or preset not in PRESETS:
-            raise ConfigValidationError("preset", f"unknown preset {preset}")
-        mode, kind = PRESETS[preset]
+        mode, kind = _preset_settings(preset)
         kwargs.setdefault("inertia_mode", mode)
         kwargs.setdefault("objective_kind", kind)
     if "seed" in data:

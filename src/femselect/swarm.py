@@ -7,7 +7,9 @@ fitness function. The swarm state is a set of arrays with one row per
 particle, and every iteration scores all particles with one batched
 fitness call. Velocity and position are clamped each iteration, and
 the inertia weight either stays at 1 (mode "none") or decays linearly
-over the first half of the run (mode "adaptive").
+over the first half of the run (mode "adaptive"). One order ranks the
+particles, `best_first`: the global best is the particle it puts first,
+and the final ranking lists all of them in it.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ import numpy as np
 from .beam_structure import SEARCH_DIMS, ModelSpec, model_catalog
 from .modal import EigenSolveError
 from .objective import ObjectiveKind
-from .records import (
-    ConvergenceRow,
-    EvaluationFailure,
-    RankingEntry,
-    RunRecord,
-    sort_ranking,
-)
+from .records import ConvergenceRow, EvaluationFailure, RankingEntry, RunRecord
 
 InertiaMode = Literal["none", "adaptive"]
 
@@ -136,8 +132,9 @@ class SwarmState:
     """The swarm after `iteration` steps. Row i of every array belongs to
     the particle searching for `models[i]`; the arrays are made read-only.
 
-    `pbest_fitness` is nan until the particle first scores. `gbest` is the
-    row whose personal best is the global best.
+    `pbest_fitness` is nan until the particle first scores. `gbest` is
+    derived, not given: the row that `best_first` puts first. A state in
+    which no particle has scored raises RuntimeError.
     """
 
     models: tuple[ModelSpec, ...]
@@ -145,8 +142,8 @@ class SwarmState:
     velocity: np.ndarray
     pbest_position: np.ndarray
     pbest_fitness: np.ndarray
-    gbest: int
     iteration: int
+    gbest: int = field(init=False)
 
     def __post_init__(self) -> None:
         rows = (len(self.models), SEARCH_DIMS)
@@ -156,6 +153,9 @@ class SwarmState:
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}")
             arr.setflags(write=False)
+        if np.isnan(self.pbest_fitness).all():
+            raise RuntimeError("no particle produced a successful evaluation")
+        object.__setattr__(self, "gbest", int(best_first(self.models, self.pbest_fitness)[0]))
 
     @property
     def gbest_position(self) -> np.ndarray:
@@ -168,6 +168,12 @@ class SwarmState:
     @property
     def gbest_model_id(self) -> int:
         return self.models[self.gbest].model_id
+
+
+def best_first(models: Sequence[ModelSpec], fitness: np.ndarray) -> np.ndarray:
+    """Row indices ordered best first: lowest fitness (nan last), then
+    fewer parameters, then lower model id."""
+    return np.lexsort(([m.model_id for m in models], [m.d for m in models], fitness))
 
 
 # Scores a (P, 5) stack of positions, row i for models[i]. Returns the
@@ -268,14 +274,6 @@ def _evaluate(
     return np.asarray(values, dtype=float), scored
 
 
-def _best_row(pbest_fitness: np.ndarray) -> int:
-    """The first row holding the lowest personal best."""
-    scored = np.flatnonzero(~np.isnan(pbest_fitness))
-    if scored.size == 0:
-        raise RuntimeError("no particle produced a successful evaluation")
-    return int(scored[np.argmin(pbest_fitness[scored])])
-
-
 def init_swarm(
     config: SwarmConfig,
     catalog: Sequence[ModelSpec],
@@ -285,7 +283,7 @@ def init_swarm(
 ) -> SwarmState:
     """Draw initial positions (normal around init_mean, clamped) and
     velocities (uniform magnitude, random sign) for the active dimensions
-    of each model, evaluate everyone, and seed pbest/gbest."""
+    of each model, evaluate everyone, and seed the personal bests."""
     models = tuple(catalog)
     position = np.zeros((len(models), SEARCH_DIMS))
     velocity = np.zeros((len(models), SEARCH_DIMS))
@@ -307,7 +305,6 @@ def init_swarm(
         velocity=velocity,
         pbest_position=position,
         pbest_fitness=pbest_fitness,
-        gbest=_best_row(pbest_fitness),
         iteration=0,
     )
 
@@ -322,8 +319,9 @@ def step(
     """Advance the swarm one iteration.
 
     All particles move against the same frozen gbest, then evaluate, then
-    personal bests update on strict improvement, and only afterwards does
-    the global best get recomputed (a tie leaves it with its holder). A
+    personal bests update on strict improvement. The new state derives
+    its global best from those personal bests, so the best personal best
+    never rises; on a tie the particle `best_first` puts first holds it. A
     row whose evaluation raised an eigensolver error keeps its pbest and
     is logged; the swarm keeps going.
     """
@@ -344,15 +342,12 @@ def step(
     improved = scored & (np.isnan(state.pbest_fitness) | (values < state.pbest_fitness))
     pbest_position = np.where(improved[:, None], position, state.pbest_position)
     pbest_fitness = np.where(improved, values, state.pbest_fitness)
-
-    best = _best_row(pbest_fitness)
     return SwarmState(
         models=state.models,
         position=position,
         velocity=velocity,
         pbest_position=pbest_position,
         pbest_fitness=pbest_fitness,
-        gbest=best if pbest_fitness[best] < state.gbest_fitness else state.gbest,
         iteration=iteration,
     )
 
@@ -375,7 +370,7 @@ def _ranking(state: SwarmState) -> tuple[RankingEntry, ...]:
             state.models, state.pbest_fitness.tolist(), state.pbest_position.tolist()
         )
     ]
-    return sort_ranking(entries)
+    return tuple(entries[i] for i in best_first(state.models, state.pbest_fitness))
 
 
 def run(

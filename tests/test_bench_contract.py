@@ -9,8 +9,10 @@ the configs and the command lines. They also pin that the set-up the
 benchmark times, and every run without mode shapes, loads no scipy.
 """
 
+import contextlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
@@ -166,6 +168,17 @@ def test_reference_checker_agrees_with_the_fitness_path():
         fast = runner.evaluate_model(model, np.array(position), "SSE").value
         reference = checker.score(model.model_id, position, "SSE")
         assert math.isclose(fast, reference, rel_tol=checks.SCORE_RTOL)
+
+
+@pytest.mark.parametrize("seed", [317903, 656999])
+def test_checker_accepts_runs_that_end_on_a_tie(bench, tmp_path, seed):
+    # Two models end on exactly the same fitness here; the global best in
+    # convergence.csv must still be the ranking's winner.
+    op = bench.short_run_op(seed, tmp_path / "out")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(op.argv) == 0
+    checker = _load("checks").OutputChecker()
+    assert checker.check(op.out, op.seed, op.kind, op.n_iterations, op.shapes) == []
 
 
 def _python(code: str, *args: str) -> list[str]:

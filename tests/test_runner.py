@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import NOMINAL_AIC, NOMINAL_SIGMA_SQUARED, NOMINAL_SSE
 from femselect import runner
-from femselect.beam_structure import ModelSpec
+from femselect.beam_structure import ModelSpec, model_catalog
 from femselect.cli import main
 from femselect.fem import assemble
 from femselect.modal import ConvergenceError, StructureError
-from femselect.records import RankingEntry, sort_ranking
 from femselect.runner import (
     PRESETS,
     ConfigNotFoundError,
@@ -32,7 +31,7 @@ from femselect.runner import (
     render_convergence_csv,
     run_experiment,
 )
-from femselect.swarm import SwarmConfig
+from femselect.swarm import SwarmConfig, best_first
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -74,6 +73,13 @@ class TestPresets:
         with pytest.raises(ConfigValidationError) as excinfo:
             preset_config(5)
         assert excinfo.value.key == "preset"
+
+    def test_float_preset_rejected(self):
+        config = ExperimentConfig(swarm=SwarmConfig(inertia_mode="none"), preset=1.0)
+        for check in (config.validate, lambda: preset_config(1.0)):
+            with pytest.raises(ConfigValidationError) as excinfo:
+                check()
+            assert excinfo.value.key == "preset"
 
 
 class TestLoadConfig:
@@ -545,22 +551,18 @@ class TestRunExperiment:
 
 class TestRanking:
     def test_sorts_by_fitness_then_d_then_id(self):
-        entries = [
-            RankingEntry(model_id=4, d=4, fitness=2.0, position=(0.0,) * 5),
-            RankingEntry(model_id=2, d=2, fitness=1.0, position=(0.0,) * 5),
-            RankingEntry(model_id=6, d=2, fitness=2.0, position=(0.0,) * 5),
-            RankingEntry(model_id=1, d=1, fitness=math.nan, position=(0.0,) * 5),
-            RankingEntry(model_id=3, d=3, fitness=2.0, position=(0.0,) * 5),
-        ]
-        out = sort_ranking(entries)
-        assert [e.model_id for e in out] == [2, 6, 3, 4, 1]
+        catalog = {m.model_id: m for m in model_catalog()}
+        models = [catalog[i] for i in (4, 2, 6, 1, 3)]
+        fitness = np.array([2.0, 1.0, 2.0, math.nan, 2.0])
+        out = best_first(models, fitness)
+        assert [models[i].model_id for i in out] == [2, 6, 3, 4, 1]
 
     def test_record_ranking_is_already_sorted(self, tmp_path):
         config = tiny_config(tmp_path, n_iterations=4, seed=5)
         record = run_experiment(config)
-        assert record.ranking == sort_ranking(record.ranking)
-        values = [e.fitness for e in record.ranking]
-        assert values == sorted(values)
+        keys = [(e.fitness, e.d, e.model_id) for e in record.ranking]
+        assert keys == sorted(keys)
+        assert record.rows[-1].gbest_model_id == record.ranking[0].model_id
 
 
 class TestDescribe:

@@ -251,7 +251,6 @@ class TestVelocityAndPosition:
             velocity=np.array([velocity, [1.0e9] * 5], dtype=float),
             pbest_position=np.array([pbest, gbest], dtype=float),
             pbest_fitness=np.array([2.0, 1.0]),
-            gbest=1,
             iteration=0,
         )
         after = step(state, config, constant_fitness, PresetPairsRng(pairs))
@@ -392,6 +391,11 @@ class TestInitSwarm:
         assert state.gbest_model_id == state.models[best].model_id
         np.testing.assert_array_equal(state.gbest_position, state.pbest_position[best])
 
+    def test_tied_start_gives_the_global_best_to_fewer_parameters(self, catalog):
+        # m5 (d = 5) comes first in the catalog, m6 (d = 2) wins the tie
+        state = init_swarm(SwarmConfig(), (catalog[4], catalog[5]), RngStream(0), constant_fitness)
+        assert state.gbest_model_id == 6
+
     def test_draw_order_matches_documented_contract(self, catalog):
         config = SwarmConfig(seed=31)
         state = init_swarm(config, catalog, RngStream(31), quad_fitness)
@@ -421,21 +425,33 @@ class TestStep:
         assert after.gbest_fitness == 1.0
         np.testing.assert_array_equal(after.pbest_position, state.pbest_position)
 
-    def test_later_tie_does_not_take_the_global_best(self, catalog):
-        config = SwarmConfig()
+    @staticmethod
+    def tied_after_one_step(models):
+        """Row 0 improves to 1.0 and ties row 1, which held the global
+        best at 1.0."""
         state = SwarmState(
-            models=tuple(catalog[:2]),
+            models=models,
             position=np.full((2, 5), 6.0e10),
             velocity=np.full((2, 5), 1.0e9),
             pbest_position=np.full((2, 5), 6.0e10),
             pbest_fitness=np.array([3.0, 1.0]),
-            gbest=1,
             iteration=0,
         )
-        after = step(state, config, constant_fitness, RngStream(0))
-        # row 0 improves to 1.0, which only ties the holder in row 1
+        assert state.gbest == 1
+        after = step(state, SwarmConfig(), constant_fitness, RngStream(0))
         assert after.pbest_fitness.tolist() == [1.0, 1.0]
+        return after
+
+    def test_later_tie_does_not_take_the_global_best(self, catalog):
+        # the holder m1 (d = 1) sorts before the tying m2 (d = 2)
+        after = self.tied_after_one_step((catalog[1], catalog[0]))
         assert after.gbest == 1
+
+    def test_tie_goes_to_the_row_that_sorts_first(self, catalog):
+        # the tying m1 (d = 1) sorts before the holder m2 (d = 2)
+        after = self.tied_after_one_step((catalog[0], catalog[1]))
+        assert after.gbest == 0
+        assert after.gbest_model_id == 1
 
     def test_inactive_dimensions_snap_to_lower_bound(self, catalog):
         config = SwarmConfig()
@@ -691,4 +707,15 @@ class TestSwarmState:
         for name, shape in bad_shapes.items():
             arrays = {**good, name: np.zeros(shape)}
             with pytest.raises(ValueError, match=name):
-                SwarmState(models=tuple(catalog[:2]), gbest=0, iteration=0, **arrays)
+                SwarmState(models=tuple(catalog[:2]), iteration=0, **arrays)
+
+    def test_no_scored_particle_rejected(self, catalog):
+        with pytest.raises(RuntimeError, match="no particle"):
+            SwarmState(
+                models=tuple(catalog[:2]),
+                position=np.zeros((2, 5)),
+                velocity=np.zeros((2, 5)),
+                pbest_position=np.zeros((2, 5)),
+                pbest_fitness=np.full(2, np.nan),
+                iteration=0,
+            )
