@@ -81,7 +81,7 @@ def aic(residual_vector: np.ndarray, d: int | np.ndarray) -> ObjectiveValue:
     # math.log, not np.log: numpy's SIMD log differs from libm's in the
     # last bit for some inputs, which would move scores, and with them
     # every artifact, away from those of the one-vector formula.
-    log = np.array([math.log(v) for v in np.ravel(floored)]).reshape(floored.shape)
+    log = np.array(list(map(math.log, np.ravel(floored).tolist()))).reshape(floored.shape)
     variance_term = n * log
     # Snapping the variance term to a 2^-44 grid keeps the sum with the
     # integer penalty exactly representable (for |AIC| < 2^8), so scores

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -278,6 +279,7 @@ class ModelEvaluator:
             summed[self._classes == a] += whitened[b]
         self._mirror_blocks = mirror_standard_form(summed, node_partner)
         self._ranks = np.asarray(self.measured.mode_indices) - 1
+        self._plan = functools.lru_cache(maxsize=32)(self._derive_plan)
         # One evaluator serves every run of the process.
         for arr in (
             self._unit_stiffness,
@@ -293,30 +295,39 @@ class ModelEvaluator:
         """Full global K, for the dense reference and mode shapes."""
         return np.tensordot(moduli, self._unit_stiffness, axes=1)
 
-    def _eigenvalues(self, moduli: np.ndarray) -> tuple[np.ndarray, dict[int, EigenSolveError]]:
-        """Ascending spectra of (P, 12) element moduli, one row each, from
-        one eigenvalue call on the mirror blocks; nan rows for the errors
-        returned. Moduli that differ between mirror partners raise
-        ValueError: the mirror split does not hold for them."""
-        if not np.all(np.isfinite(moduli)):
-            raise ValueError("element moduli must be finite")
+    def _require_mirror(self, per_element: np.ndarray) -> None:
+        """ValueError unless each row of (P, 12) per-element moduli or search
+        dimensions agrees on every mirror pair, as the mirror split needs."""
         left, right = self._mirror_pairs.T
-        differ = np.any(moduli[:, left] != moduli[:, right], axis=0)
+        differ = np.any(per_element[:, left] != per_element[:, right], axis=0)
         if np.any(differ):
             a, b = self._mirror_pairs[np.argmax(differ)] + 1
             raise ValueError(f"elements {a} and {b} are mirror partners and need one modulus")
-        class_moduli = moduli[:, self._classes]
-        stacks = []
-        for blocks in self._mirror_blocks:
-            flat = blocks.reshape(len(blocks), -1)
-            rows = np.empty((len(moduli), flat.shape[1]))
-            # One vector-matrix product per row: a single (P, 9) @ (9, N)
-            # product rounds differently, and scores must not depend on P.
-            for i, row in enumerate(class_moduli):
-                rows[i] = row @ flat
-            stacks.append(rows.reshape(len(moduli), *blocks.shape[1:]))
+
+    def _derive_plan(self, models: tuple[ModelSpec, ...]) -> tuple[np.ndarray, ...]:
+        """Each model's d, (P, 5) active dimensions and (P, 9) mirror-class
+        dimensions, cached per tuple by `_plan`. A model whose groups split
+        mirror partners raises ValueError at any position."""
+        dims = np.stack([model.element_dims for model in models])
+        self._require_mirror(dims)
+        d = np.array([model.d for model in models])
+        plan = (d, np.arange(SEARCH_DIMS) < d[:, None], dims[:, self._classes])
+        for arr in plan:
+            arr.setflags(write=False)
+        return plan
+
+    def _eigenvalues(self, moduli: np.ndarray) -> tuple[np.ndarray, dict[int, EigenSolveError]]:
+        """Ascending spectra of (P, 9) mirror-class moduli, one row each,
+        from one eigenvalue call on the mirror blocks; nan rows for the
+        errors returned."""
+        # Stacked (1, 9) @ (9, N) products round as `row @ flat` does; one
+        # (P, 9) @ (9, N) product does not, and scores must not depend on P.
+        stacks = tuple(
+            (moduli[:, None] @ blocks.reshape(len(blocks), -1)).reshape(-1, *blocks.shape[1:])
+            for blocks in self._mirror_blocks
+        )
         try:
-            return generalized_eigenvalues(tuple(stacks)), {}
+            return generalized_eigenvalues(stacks), {}
         except ConvergenceError:
             pass
         # One failed block fails the whole call: solve each row's blocks
@@ -333,7 +344,11 @@ class ModelEvaluator:
     def spectrum(self, moduli: np.ndarray) -> ModalResult:
         """Free-free frequencies at these element moduli by the planar
         solve; StructureError unless six rigid-body modes appear."""
-        eigenvalues, errors = self._eigenvalues(np.asarray(moduli, dtype=float)[None])
+        moduli = np.asarray(moduli, dtype=float)[None]
+        if not np.all(np.isfinite(moduli)):
+            raise ValueError("element moduli must be finite")
+        self._require_mirror(moduli)
+        eigenvalues, errors = self._eigenvalues(moduli[:, self._classes])
         if errors:
             raise errors[0]
         return free_free_result(eigenvalues[0])
@@ -344,24 +359,29 @@ class ModelEvaluator:
         positions: np.ndarray,
         objective_kind: ObjectiveKind,
     ) -> tuple[ObjectiveValue, dict[int, EigenSolveError]]:
-        """Score row i of the (P, 5) positions as models[i]: element
-        moduli -> whitened mirror blocks -> eigenvalues -> measured-rank
+        """Score row i of the (P, 5) positions as models[i]: class moduli
+        -> whitened mirror blocks -> eigenvalues -> measured-rank
         frequencies -> residuals -> objective, with one eigenvalue call
-        for all rows. Returns the scores as (P,) arrays and the
-        eigensolver error of each failed row, whose score is nan. Invalid
-        positions raise ValueError. A row's score does not depend on the
-        other rows."""
+        for all rows. Returns the scores as (P,) arrays and the eigensolver
+        error of each failed row, whose score is nan. Invalid positions and
+        mirror-splitting models raise ValueError. A row's score does not
+        depend on the other rows."""
         positions = np.asarray(positions, dtype=float)
         if positions.shape != (len(models), SEARCH_DIMS):
             raise ValueError(f"positions must have shape ({len(models)}, {SEARCH_DIMS})")
-        d = np.array([model.d for model in models])
-        if np.any(positions[np.arange(SEARCH_DIMS) < d[:, None]] <= 0.0):
+        d, active, class_dims = self._plan(tuple(models))
+        if np.any(positions[active] <= 0.0):
             raise ValueError("active position dimensions must be positive moduli")
-        element_dims = np.stack([model.element_dims for model in models])
-        moduli = np.take_along_axis(positions, element_dims, axis=1)
+        class_moduli = np.take_along_axis(positions, class_dims, axis=1)
+        if not np.all(np.isfinite(class_moduli)):
+            raise ValueError("element moduli must be finite")
 
-        eigenvalues, errors = self._eigenvalues(moduli)
-        frequencies, structure_errors = free_free_frequencies(eigenvalues)
+        eigenvalues, errors = self._eigenvalues(class_moduli)
+        # The six rigid modes lie below the top measured rank, so the columns
+        # up to it count them; only an error needs the count of them all.
+        frequencies, structure_errors = free_free_frequencies(eigenvalues[:, : self._ranks[-1] + 1])
+        if structure_errors:
+            structure_errors = free_free_frequencies(eigenvalues)[1]
         errors = {**structure_errors, **errors}
         r = residuals(self.measured, frequencies[:, self._ranks])
         score = aic(r, d) if objective_kind == "AIC" else sse(r, d)
@@ -414,10 +434,9 @@ def evaluate_model(
     return _default_evaluator().evaluate(model, position, objective_kind)
 
 
-def _format_number(value: float) -> str:
-    """17 significant digits: enough to round-trip a double exactly, so
-    files are byte-stable across runs."""
-    return f"{value:.17g}"
+# 17 significant digits: enough to round-trip a double exactly, so files
+# are byte-stable across runs.
+_format_number = "{:.17g}".format
 
 
 _CSV_HEADER = (
@@ -431,16 +450,11 @@ _CSV_HEADER = (
 def render_convergence_csv(record: RunRecord) -> str:
     lines = [_CSV_HEADER]
     for row in record.rows:
-        parts = [
-            str(row.iteration),
-            _format_number(row.w),
-            str(row.gbest_model_id),
-            _format_number(row.gbest_fitness),
-        ]
-        parts.extend(_format_number(v) for v in row.model_fitness)
-        for position in row.positions:
-            parts.extend(_format_number(x) for x in position)
-        lines.append(",".join(parts))
+        numbers = (row.gbest_fitness, *row.model_fitness, *itertools.chain(*row.positions))
+        lines.append(
+            f"{row.iteration},{_format_number(row.w)},{row.gbest_model_id},"
+            + ",".join(map(_format_number, numbers))
+        )
     return "\n".join(lines) + "\n"
 
 

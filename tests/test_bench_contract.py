@@ -101,6 +101,22 @@ def test_a_batch_solves_every_block_inside_one_eigen_call(monkeypatch):
     assert inside and all(inside)
 
 
+def test_tracer_sees_each_layer_of_one_batch_once(tracing):
+    # The batched path calls the eigen solve and the objective through the
+    # runner names the tracer patches, once per batch however many rows.
+    evaluator = runner._default_evaluator()
+    positions = np.random.default_rng(1).uniform(5.5e10, 7.5e10, (8, 5))
+    tracer = tracing.Tracer(tracing.layer_targets(cli, runner, swarm))
+    with tracer.phase():
+        _, errors = evaluator.evaluate_batch(model_catalog(), positions, "AIC")
+    assert errors == {}
+    assert tracing.span_problems(tracer) == []
+    _, calls = tracer.phase_totals()[0]
+    assert calls["modal.eigvals"] == 1
+    assert calls["objective.residuals"] == 1
+    assert calls["objective"] == 1
+
+
 def test_one_batched_eigen_solve_per_swarm_iteration(tracing, tmp_path):
     config = runner.ExperimentConfig(
         swarm=swarm.SwarmConfig(n_iterations=3, seed=0), output_dir=tmp_path / "out"

@@ -13,10 +13,16 @@ from hypothesis import strategies as st
 
 from conftest import NOMINAL_AIC, NOMINAL_SIGMA_SQUARED, NOMINAL_SSE
 from femselect import runner
-from femselect.beam_structure import ModelSpec, model_catalog
+from femselect.beam_structure import ModelSpec, element_modulus_vector, model_catalog
 from femselect.cli import main
 from femselect.fem import assemble
-from femselect.modal import ConvergenceError, StructureError
+from femselect.modal import (
+    ConvergenceError,
+    StructureError,
+    free_free_frequencies,
+    generalized_eigenvalues,
+)
+from femselect.objective import aic, residuals, sse
 from femselect.runner import (
     PRESETS,
     ConfigNotFoundError,
@@ -330,24 +336,70 @@ class FailingEigvalsh:
         return self.real(blocks)
 
 
+def row_by_row_score(evaluator, model, position, kind):
+    """One candidate's score built step by step, one vector-matrix
+    product per mirror stack: the reference the batched path must equal."""
+    moduli = element_modulus_vector(model, position)[evaluator._classes]
+    blocks = tuple(
+        (moduli @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+        for stack in evaluator._mirror_blocks
+    )
+    eigenvalues = generalized_eigenvalues(blocks)
+    frequencies, errors = free_free_frequencies(eigenvalues[None])
+    assert errors == {}
+    r = residuals(evaluator.measured, frequencies[0, evaluator._ranks])
+    return aic(r, model.d) if kind == "AIC" else sse(r, model.d)
+
+
 class TestEvaluateBatch:
     @pytest.mark.parametrize("kind", ["AIC", "SSE"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_equal_scalar_evaluate_bit_for_bit(self, evaluator, catalog, kind, seed):
-        positions = in_bound_positions(seed)
+        for rows in (slice(None), slice(2, 5)):  # P = 8 and P = 3
+            models, positions = catalog[rows], in_bound_positions(seed)[rows]
+            batch, errors = evaluator.evaluate_batch(models, positions, kind)
+            assert errors == {}
+            for i, (model, position) in enumerate(zip(models, positions)):
+                scalar = evaluator.evaluate(model, position, kind)
+                single, _ = evaluator.evaluate_batch((model,), position[None], kind)
+                assert batch.value[i] == scalar.value == single.value[0]
+                assert batch.sigma_squared[i] == scalar.sigma_squared
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 8])
+    def test_stacked_products_equal_row_products(self, evaluator, catalog, monkeypatch, n_rows):
+        solved = []
+        real = runner.generalized_eigenvalues
+        monkeypatch.setattr(runner, "generalized_eigenvalues", lambda b: solved.append(b) or real(b))
+        models = catalog[8 - n_rows :]
+        positions = in_bound_positions(n_rows, n_rows)
+        evaluator.evaluate_batch(models, positions, "AIC")
+        (stacks,) = solved
+        assert len(stacks) == len(evaluator._mirror_blocks) == 2
+        for stack, blocks in zip(stacks, evaluator._mirror_blocks):
+            flat = blocks.reshape(len(blocks), -1)
+            for row, model, position in zip(stack, models, positions):
+                moduli = position[model.element_dims[evaluator._classes]]
+                assert np.array_equal(row, (moduli @ flat).reshape(blocks.shape[1:]))
+
+    @pytest.mark.parametrize("kind", ["AIC", "SSE"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_equals_row_by_row_reference(self, evaluator, catalog, kind, seed):
+        positions = in_bound_positions(10 + seed)
         batch, errors = evaluator.evaluate_batch(catalog, positions, kind)
         assert errors == {}
         for i, (model, position) in enumerate(zip(catalog, positions)):
-            scalar = evaluator.evaluate(model, position, kind)
-            single, _ = evaluator.evaluate_batch((model,), position[None], kind)
-            assert batch.value[i] == scalar.value == single.value[0]
-            assert batch.sigma_squared[i] == scalar.sigma_squared
+            reference = row_by_row_score(evaluator, model, position, kind)
+            assert batch.value[i] == reference.value
+            assert batch.sigma_squared[i] == reference.sigma_squared
 
     def test_rejects_a_model_that_breaks_the_mirror(self, evaluator):
         # Elements 2 and 3 are mirror partners; no catalog model splits them.
         model = ModelSpec(9, (frozenset({2}), frozenset(set(range(1, 13)) - {2})), 2)
         with pytest.raises(ValueError, match="elements 2 and 3"):
             evaluator.evaluate_batch((model,), in_bound_positions(0, 1), "AIC")
+        # The groups decide, not the values: equal moduli on the split too.
+        with pytest.raises(ValueError, match="elements 2 and 3"):
+            evaluator.evaluate_batch((model,), np.full((1, 5), 7.0e10), "AIC")
 
     def test_rejects_invalid_positions(self, evaluator, catalog):
         positions = in_bound_positions(0)
