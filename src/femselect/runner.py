@@ -40,6 +40,7 @@ from .fem import (  # noqa: F401
     transform_to_global,
 )
 from .modal import (
+    RIGID_BODY_RATIO,
     ConvergenceError,
     EigenSolveError,
     ModalResult,
@@ -52,6 +53,7 @@ from .modal import (
     planar_standard_form,
     solve_generalized_eigen,
 )
+from . import objective
 from .objective import ObjectiveKind, ObjectiveValue, aic, residuals, sse
 from .records import RunRecord
 from .swarm import SwarmConfig
@@ -366,16 +368,28 @@ class ModelEvaluator:
         error of each failed row, whose score is nan. Invalid positions and
         mirror-splitting models raise ValueError. A row's score does not
         depend on the other rows."""
+        plan = self._plan(tuple(models))
+        score, errors, _ = self._score(self._class_moduli(positions, plan), plan[0], objective_kind)
+        return score, errors
+
+    def _class_moduli(self, positions: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
+        """(P, 9) class moduli of (P, 5) positions under a `_plan`; ValueError if invalid."""
         positions = np.asarray(positions, dtype=float)
-        if positions.shape != (len(models), SEARCH_DIMS):
-            raise ValueError(f"positions must have shape ({len(models)}, {SEARCH_DIMS})")
-        d, active, class_dims = self._plan(tuple(models))
+        _, active, class_dims = plan
+        if positions.shape != active.shape:
+            raise ValueError(f"positions must have shape {active.shape}")
         if np.any(positions[active] <= 0.0):
             raise ValueError("active position dimensions must be positive moduli")
         class_moduli = np.take_along_axis(positions, class_dims, axis=1)
         if not np.all(np.isfinite(class_moduli)):
             raise ValueError("element moduli must be finite")
+        return class_moduli
 
+    def _score(
+        self, class_moduli: np.ndarray, d: np.ndarray, objective_kind: ObjectiveKind
+    ) -> tuple[ObjectiveValue, dict[int, EigenSolveError], np.ndarray]:
+        """The exact score of any rows: (P, 9) class moduli and (P,) d ->
+        scores, the errors of failed rows (nan scores) and the spectra."""
         eigenvalues, errors = self._eigenvalues(class_moduli)
         # The six rigid modes lie below the top measured rank, so the columns
         # up to it count them; only an error needs the count of them all.
@@ -389,7 +403,7 @@ class ModelEvaluator:
             failed = list(errors)
             score.value[failed] = math.nan
             score.sigma_squared[failed] = math.nan
-        return score, errors
+        return score, errors, eigenvalues
 
     def evaluate(
         self,
@@ -423,6 +437,103 @@ def _default_evaluator() -> ModelEvaluator:
     hide the patch, or keep it for every later run.
     """
     return ModelEvaluator()
+
+
+# Solved points the screen keeps per particle: a ring of its last ones.
+SCREEN_RING = 32
+# Runs of fewer iterations solve every row: the screen's set-up and bounds
+# cost about what they save until its rings fill (break-even near 3).
+SCREEN_MIN_ITERATIONS = 4
+# Slack of a computed eigenvalue as a share of its spectrum's largest: a
+# backward-stable solve errs by p(n) eps ||K|| (LAPACK Users' Guide 4.7) and
+# forming K by a few eps ||K||; 16 n eps with n = 23, the largest block,
+# covers both. At nominal moduli the computed rigid eigenvalues (exactly 0)
+# are <= 2.5e-6, eps lam_max 1.7e-5, the slack 6.2e-3, 1e-6 lam_7 0.11.
+SCREEN_SLACK = 16 * 23 * np.finfo(float).eps
+
+
+class _Screen:
+    """Fitness of one run that solves only the rows whose score might beat
+    their `threshold`, the particle's personal best. K(E) = sum_c E_c W_c
+    with PSD class blocks, so alpha lam_i(E') <= lam_i(E) <= beta lam_i(E')
+    for any solved point E', alpha and beta the extreme ratios E_c / E'_c
+    (Courant-Fischer). Widened by SCREEN_SLACK, the points kept for a
+    particle bracket a row's computed eigenvalues at index 6 and at the
+    measured ranks, which bound its score by the objective's own formula.
+    A row whose bound exceeds its threshold, and whose bracket proves the
+    six rigid modes, comes back +inf, unsolved; `ModelEvaluator._score`
+    solves every other row, as `evaluate_batch` does.
+    """
+
+    def __init__(self, evaluator: ModelEvaluator, objective_kind: ObjectiveKind):
+        self.evaluator = evaluator
+        self.kind = objective_kind
+        self.models: tuple[ModelSpec, ...] | None = None
+        self._columns = np.concatenate([[6], evaluator._ranks])  # kept: index 6, the ranks
+
+    def _start(self, models: tuple[ModelSpec, ...]) -> None:
+        self.models = models
+        self.plan = self.evaluator._plan(tuple(models))
+        # Field x particle x ring slot; fields: 9 class moduli, lam -/+ tau at
+        # the kept columns, slack of a spectrum at most as high. Empty: nan.
+        self.points = np.full((10 + 2 * len(self._columns), len(models), SCREEN_RING), math.nan)
+        self.pushes = np.zeros(len(models), dtype=int)
+
+    def __call__(self, models, positions, threshold):
+        if models is not self.models:
+            self._start(models)
+        moduli = self.evaluator._class_moduli(positions, self.plan)
+        threshold = np.asarray(threshold, dtype=float)
+        values = np.full(len(models), math.inf)
+        rows = np.flatnonzero(~self._cannot_improve(moduli, threshold))
+        if not rows.size:
+            return values, {}
+        score, errors, spectra = self.evaluator._score(moduli[rows], self.plan[0][rows], self.kind)
+        values[rows] = score.value
+        self._keep(rows, moduli[rows], spectra)
+        return values, {int(rows[i]): error for i, error in errors.items()}
+
+    def bracket(self, moduli: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Bounds (k, P) on the computed eigenvalues at the kept columns of
+        (P, 9) class moduli, and the (P,) slack of their rigid ones."""
+        k = len(self._columns)
+        points = self.points[..., : min(self.pushes.max(), SCREEN_RING)]
+        ratio = moduli.T[..., None] / points[:9]
+        alpha, beta = ratio.min(axis=0), ratio.max(axis=0)
+        slack = beta * points[-1]
+        low = alpha * points[9 : 9 + k] - slack
+        high = beta * points[9 + k : 9 + 2 * k] + slack
+        # fmax and fmin skip nan: empty slots and failed rows bound nothing.
+        low, high = np.fmax.reduce(low, axis=2), np.fmin.reduce(high, axis=2)
+        return low, high, np.fmin.reduce(slack, axis=1)
+
+    def _cannot_improve(self, moduli, threshold) -> np.ndarray:
+        if np.isnan(threshold).all():  # no particle has scored: nothing to bound
+            return np.zeros(len(threshold), dtype=bool)
+        low, high, slack = self.bracket(moduli)
+        measured = self.evaluator.measured.frequencies_hz[:, None]
+        f_low, f_high = (frequencies_from_eigenvalues(bound[1:]) for bound in (low, high))
+        # The smallest residual each frequency bracket allows.
+        r = measured - np.minimum(np.maximum(measured, f_low), f_high)
+        # The objective module itself, not this module's names: a bound is
+        # not a score, and the benchmark tracer counts scores by those names.
+        bound = (objective.aic if self.kind == "AIC" else objective.sse)(r.T, self.plan[0])
+        margin = 1e-9 * np.maximum(1.0, np.abs(threshold))
+        # Rigid eigenvalues lie within `slack` of 0, lam_6 above low[0]: six.
+        return (bound.value > threshold + margin) & (slack < RIGID_BODY_RATIO * low[0])
+
+    def _keep(self, rows, moduli, spectra) -> None:
+        """Push the solved rows into their particles' rings. A point
+        brackets a row of any model, so the first batch fills every ring."""
+        lam, tau = spectra[:, self._columns], SCREEN_SLACK * spectra[:, -1:]
+        fields = (moduli, lam - tau, lam + tau, SCREEN_SLACK * (spectra[:, -1:] + tau))
+        point = np.concatenate(fields, axis=1).T
+        if not self.pushes.any():
+            self.points[..., : len(rows)] = point[:, None]
+            self.pushes[:] = len(rows)
+        else:
+            self.points[:, rows, self.pushes[rows] % SCREEN_RING] = point
+            self.pushes[rows] += 1
 
 
 def evaluate_model(
@@ -553,11 +664,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     evaluator = _default_evaluator()
     kind = config.swarm.objective_kind
 
-    def fitness(models, positions):
+    def every_row(models, positions, threshold):
         score, errors = evaluator.evaluate_batch(models, positions, kind)
         return score.value, errors
 
-    record = swarm_engine.run(config.swarm, fitness)
+    long_run = config.swarm.n_iterations >= SCREEN_MIN_ITERATIONS
+    record = swarm_engine.run(config.swarm, _Screen(evaluator, kind) if long_run else every_row)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,11 +5,13 @@ search space. A particle only "owns" its first `model.d` coordinates;
 the remaining ones are carried through every update but never reach the
 fitness function. The swarm state is a set of arrays with one row per
 particle, and every iteration scores all particles with one batched
-fitness call. Velocity and position are clamped each iteration, and
-the inertia weight either stays at 1 (mode "none") or decays linearly
-over the first half of the run (mode "adaptive"). One order ranks the
-particles, `best_first`: the global best is the particle it puts first,
-and the final ranking lists all of them in it.
+fitness call given each particle's personal best, which a row proven
+unable to beat may return as +inf unsolved. Velocity and position are
+clamped each iteration, and the inertia weight either stays at 1 (mode
+"none") or decays linearly over the first half of the run (mode
+"adaptive"). One order ranks the particles, `best_first`: the global
+best is the particle it puts first, and the final ranking lists all of
+them in it.
 """
 
 from __future__ import annotations
@@ -176,11 +178,13 @@ def best_first(models: Sequence[ModelSpec], fitness: np.ndarray) -> np.ndarray:
     return np.lexsort(([m.model_id for m in models], [m.d for m in models], fitness))
 
 
-# Scores a (P, 5) stack of positions, row i for models[i]. Returns the
-# (P,) objective values and, keyed by row, the eigensolver error of every
-# row that failed (its value is ignored). Any other exception aborts.
+# Scores a (P, 5) stack of positions, row i for models[i], given each row's
+# personal best as its (P,) threshold (nan: the row must be solved). Returns
+# the (P,) objective values, +inf for a row proven not to beat its
+# threshold, and, keyed by row, the eigensolver error of every row that
+# failed (its value is ignored). Any other exception aborts.
 FitnessFn = Callable[
-    [Sequence[ModelSpec], np.ndarray],
+    [Sequence[ModelSpec], np.ndarray, np.ndarray],
     tuple[np.ndarray, Mapping[int, EigenSolveError]],
 ]
 
@@ -253,13 +257,14 @@ def clamp_velocity(raw: np.ndarray, v_min: float, v_max: float) -> np.ndarray:
 def _evaluate(
     models: tuple[ModelSpec, ...],
     position: np.ndarray,
+    threshold: np.ndarray,
     iteration: int,
     fitness: FitnessFn,
     failures: list[EvaluationFailure] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One batched fitness call: the values and a mask of the rows that
     scored. Failures are logged in particle order."""
-    values, errors = fitness(models, position)
+    values, errors = fitness(models, position, threshold)
     scored = np.ones(len(models), dtype=bool)
     for i in sorted(errors):
         scored[i] = False
@@ -297,7 +302,8 @@ def init_swarm(
         signs = rng.signs(d)
         velocity[i, :d] = signs * magnitudes
 
-    values, scored = _evaluate(models, position, 0, fitness, failures)
+    unscored = np.full(len(models), math.nan)
+    values, scored = _evaluate(models, position, unscored, 0, fitness, failures)
     pbest_fitness = np.where(scored, values, math.nan)
     return SwarmState(
         models=models,
@@ -338,7 +344,9 @@ def step(
     position = np.clip(state.position + velocity, config.m_min, config.m_max)
 
     iteration = state.iteration + 1
-    values, scored = _evaluate(state.models, position, iteration, fitness, failures)
+    values, scored = _evaluate(
+        state.models, position, state.pbest_fitness, iteration, fitness, failures
+    )
     improved = scored & (np.isnan(state.pbest_fitness) | (values < state.pbest_fitness))
     pbest_position = np.where(improved[:, None], position, state.pbest_position)
     pbest_fitness = np.where(improved, values, state.pbest_fitness)

@@ -49,7 +49,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(line)
 
 
-def sphere_fitness(models, positions):
+def sphere_fitness(models, positions, threshold=None):
     values = []
     for model, position in zip(models, positions):
         x = position[: model.d]
@@ -354,7 +354,7 @@ def test_criterion_10_invariants_on_all_traces(sphere_runs, preset1_runs, preset
         swarm = config.swarm
         kind = swarm.objective_kind
 
-        def fem_fitness(models, positions):
+        def fem_fitness(models, positions, threshold=None):
             score, errors = evaluator.evaluate_batch(models, positions, kind)
             return score.value, errors
 

@@ -37,7 +37,8 @@ from femselect.runner import (
     render_convergence_csv,
     run_experiment,
 )
-from femselect.swarm import SwarmConfig, best_first
+from femselect import swarm
+from femselect.swarm import RngStream, SwarmConfig, best_first
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -326,9 +327,11 @@ class FailingEigvalsh:
         self.real = np.linalg.eigvalsh
         self.bad_row = bad_row
         self.bad_blocks = None
+        self.stack_rows = []
 
     def __call__(self, blocks):
         if blocks.ndim == 4:
+            self.stack_rows.append(len(blocks))
             self.bad_blocks = blocks[self.bad_row].copy()
             raise np.linalg.LinAlgError("stack did not converge")
         if self.bad_blocks is not None and np.array_equal(blocks, self.bad_blocks):
@@ -453,6 +456,126 @@ class TestEvaluateBatch:
         assert record.ranking[-1].model_id == 4
         assert math.isnan(record.ranking[-1].fitness)
         assert not any(math.isnan(e.fitness) for e in record.ranking[:-1])
+
+    def test_screened_run_logs_failures_against_the_right_model(self, tmp_path, monkeypatch):
+        # A screened run solves only the rows it cannot rule out, so stack
+        # row i need not be particle i. The last stack row fails: particle
+        # 8's, which never scores, so has no threshold and is always solved.
+        failing = FailingEigvalsh(-1)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        n = runner.SCREEN_MIN_ITERATIONS
+        record = run_experiment(tiny_config(tmp_path, n_iterations=n, seed=0))
+        assert min(failing.stack_rows) < 8  # some rows were skipped
+        logged = [(f.iteration, f.model_id) for f in record.failures]
+        assert logged == [(i, 8) for i in range(n + 1)]
+        assert all("row -1 did not converge" in f.reason for f in record.failures)
+        assert record.ranking[-1].model_id == 8
+        assert math.isnan(record.ranking[-1].fitness)
+        assert not any(math.isnan(e.fitness) for e in record.ranking[:-1])
+
+
+def unscreened(evaluator, kind):
+    """The swarm's fitness without a screen: every row solved."""
+
+    def fitness(models, positions, threshold):
+        score, errors = evaluator.evaluate_batch(models, positions, kind)
+        return score.value, errors
+
+    return fitness
+
+
+class TestScreen:
+    @pytest.mark.parametrize("spread", [None, 1e-3, 1e-12])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bracket_holds_the_computed_eigenvalues(self, evaluator, catalog, seed, spread):
+        # Several solved points per particle drawn over the search box, then
+        # a new point: drawn the same way, or the first point moved by a
+        # relative `spread`, where the slack alone must cover the roundoff.
+        screen = runner._Screen(evaluator, "AIC")
+        columns = np.concatenate([[6], evaluator._ranks])
+        draws = in_bound_positions(100 + seed, 8 * 6).reshape(6, 8, 5)
+        for positions in draws[:-1]:
+            screen(catalog, positions, np.full(8, math.nan))
+        # The first batch fills every ring, then each particle adds its own.
+        assert np.all(screen.pushes == 8 + 4)
+        if spread is not None:
+            noise = np.random.default_rng(seed).uniform(-1.0, 1.0, draws[0].shape)
+            draws[-1] = draws[0] * (1.0 + spread * noise)
+        moduli = evaluator._class_moduli(draws[-1], evaluator._plan(tuple(catalog)))
+        eigenvalues, errors = evaluator._eigenvalues(moduli)
+        assert errors == {}
+        low, high, slack = screen.bracket(moduli)
+        assert np.all(low <= eigenvalues[:, columns].T)
+        assert np.all(eigenvalues[:, columns].T <= high)
+        assert np.all(np.abs(eigenvalues[:, :6]).T <= slack)
+        assert np.all(slack < runner.RIGID_BODY_RATIO * low[0])
+
+    def test_repeated_point_is_skipped_only_below_its_threshold(self, evaluator, catalog):
+        screen = runner._Screen(evaluator, "SSE")
+        positions = in_bound_positions(7)
+        first, _ = screen(catalog, positions, np.full(8, math.nan))
+        exact, _ = evaluator.evaluate_batch(catalog, positions, "SSE")
+        assert np.array_equal(first, exact.value)
+        threshold = exact.value - 1.0
+        threshold[::2] = math.nan
+        again, _ = screen(catalog, positions, threshold)
+        assert np.array_equal(again[::2], exact.value[::2])
+        assert np.all(np.isinf(again[1::2]))
+        # At its own score the row could tie, so it is solved.
+        again, _ = screen(catalog, positions, exact.value)
+        assert np.array_equal(again, exact.value)
+
+    @pytest.mark.parametrize("preset", [1, 2, 3, 4])
+    def test_skipped_rows_cannot_beat_their_threshold(self, evaluator, preset):
+        config = dataclasses.replace(preset_config(preset, seed=preset).swarm, n_iterations=100)
+        screen = runner._Screen(evaluator, config.objective_kind)
+        skipped = []
+
+        def checked(models, positions, threshold):
+            values, errors = screen(models, positions, threshold)
+            exact, exact_errors = evaluator.evaluate_batch(models, positions, config.objective_kind)
+            assert errors.keys() == exact_errors.keys()
+            rows = np.isinf(values)
+            assert not np.any(rows & np.isnan(threshold))
+            assert np.all(exact.value[rows] >= threshold[rows])
+            assert np.array_equal(values[~rows], exact.value[~rows], equal_nan=True)
+            skipped.append(rows.sum())
+            return values, errors
+
+        swarm.run(config, checked)
+        assert sum(skipped) > 0.5 * 8 * config.n_iterations
+
+    def test_only_runs_of_the_minimum_length_are_screened(self, tmp_path, monkeypatch):
+        rows = []
+        real = runner.generalized_eigenvalues
+        monkeypatch.setattr(
+            runner, "generalized_eigenvalues", lambda b: rows.append(len(b[0])) or real(b)
+        )
+        short = runner.SCREEN_MIN_ITERATIONS - 1
+        run_experiment(tiny_config(tmp_path, n_iterations=short, seed=0))
+        assert rows == [8] * (short + 1)
+        rows.clear()
+        run_experiment(tiny_config(tmp_path, n_iterations=short + 1, seed=0))
+        assert rows[0] == 8 and sum(rows) < 8 * (short + 2)
+
+    @pytest.mark.parametrize("preset", [2, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sse_runs_replay_through_the_unscreened_batch(self, evaluator, tmp_path, preset, seed):
+        base = preset_config(preset, seed=seed, output_dir=tmp_path)
+        config = dataclasses.replace(base, swarm=dataclasses.replace(base.swarm, n_iterations=150))
+        record = run_experiment(config)
+        rng = RngStream(seed)
+        fitness = unscreened(evaluator, config.swarm.objective_kind)
+        state = swarm.init_swarm(config.swarm, model_catalog(), rng, fitness)
+        for row in record.rows:
+            state = swarm.step(state, config.swarm, fitness, rng)
+            assert np.array_equal(row.model_fitness, state.pbest_fitness, equal_nan=True)
+            assert row.positions == tuple(map(tuple, state.position.tolist()))
+            assert row.gbest_model_id == state.gbest_model_id
+            assert row.gbest_fitness == state.gbest_fitness
+        assert [e.position for e in record.ranking] == [
+            tuple(state.pbest_position[i]) for i in best_first(state.models, state.pbest_fitness)
+        ]
 
 
 class TestRunExperiment:

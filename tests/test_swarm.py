@@ -27,15 +27,15 @@ def quad_value(model, position) -> float:
     return float(np.sum(((x - 6.5e10) / 1.0e10) ** 2))
 
 
-def quad_fitness(models, positions):
+def quad_fitness(models, positions, threshold=None):
     return np.array([quad_value(m, x) for m, x in zip(models, positions)]), {}
 
 
-def constant_fitness(models, positions):
+def constant_fitness(models, positions, threshold=None):
     return np.ones(len(models)), {}
 
 
-def flaky_fitness(models, positions):
+def flaky_fitness(models, positions, threshold=None):
     """quad_fitness, except that model 3 always fails to solve."""
     values, _ = quad_fitness(models, positions)
     errors = {
@@ -477,7 +477,7 @@ class TestStep:
         assert not np.any(np.isnan(healthy))
 
     def test_failures_are_logged_in_particle_order(self, catalog):
-        def two_fail(models, positions):
+        def two_fail(models, positions, threshold=None):
             values, _ = quad_fitness(models, positions)
             return values, {5: ConvergenceError("late"), 1: ConvergenceError("early")}
 
@@ -486,7 +486,7 @@ class TestStep:
         assert [(f.model_id, f.reason) for f in failures] == [(2, "early"), (6, "late")]
 
     def test_all_failures_raise(self, catalog):
-        def broken(models, positions):
+        def broken(models, positions, threshold=None):
             error = ConvergenceError("nothing works")
             return np.zeros(len(models)), {i: error for i in range(len(models))}
 
@@ -494,7 +494,7 @@ class TestStep:
             init_swarm(SwarmConfig(), catalog, RngStream(0), broken)
 
     def test_value_error_aborts(self, catalog):
-        def invalid(models, positions):
+        def invalid(models, positions, threshold=None):
             raise ValueError("bad position")
 
         with pytest.raises(ValueError):
