@@ -33,12 +33,8 @@ from .beam_structure import (
 )
 # `assemble` is not called here; the benchmark tracer patches it by this
 # name, so it stays importable from this module.
-from .fem import (  # noqa: F401
-    assemble,
-    beam_element_matrices,
-    element_dof_indices,
-    transform_to_global,
-)
+from .fem import assemble  # noqa: F401
+from .fem import beam_element_matrices, element_dof_indices, transform_to_global
 from .modal import (
     RIGID_BODY_RATIO,
     ConvergenceError,
@@ -53,8 +49,7 @@ from .modal import (
     planar_standard_form,
     solve_generalized_eigen,
 )
-from . import objective
-from .objective import ObjectiveKind, ObjectiveValue, aic, residuals, sse
+from .objective import SIGMA_SQ_FLOOR, ObjectiveKind, ObjectiveValue, aic, residuals, sse
 from .records import RunRecord
 from .swarm import SwarmConfig
 from . import swarm as swarm_engine
@@ -106,19 +101,12 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.preset is not None:
-            mode, kind = _preset_settings(self.preset)
-            if self.swarm.inertia_mode != mode:
-                raise ConfigValidationError(
-                    "inertia_mode",
-                    f"preset {self.preset} requires inertia_mode={mode!r}, "
-                    f"got {self.swarm.inertia_mode!r}",
-                )
-            if self.swarm.objective_kind != kind:
-                raise ConfigValidationError(
-                    "objective_kind",
-                    f"preset {self.preset} requires objective_kind={kind!r}, "
-                    f"got {self.swarm.objective_kind!r}",
-                )
+            settings = zip(("inertia_mode", "objective_kind"), _preset_settings(self.preset))
+            for key, required in settings:
+                if (value := getattr(self.swarm, key)) != required:
+                    raise ConfigValidationError(
+                        key, f"preset {self.preset} requires {key}={required!r}, got {value!r}"
+                    )
         try:
             self.swarm.validate()
         except ValueError as exc:
@@ -283,14 +271,8 @@ class ModelEvaluator:
         self._ranks = np.asarray(self.measured.mode_indices) - 1
         self._plan = functools.lru_cache(maxsize=32)(self._derive_plan)
         # One evaluator serves every run of the process.
-        for arr in (
-            self._unit_stiffness,
-            self.m_global,
-            self._classes,
-            self._mirror_pairs,
-            *self._mirror_blocks,
-            self._ranks,
-        ):
+        for arr in (self._unit_stiffness, self.m_global, self._classes, self._mirror_pairs,
+                    *self._mirror_blocks, self._ranks):
             arr.setflags(write=False)
 
     def stiffness(self, moduli: np.ndarray) -> np.ndarray:
@@ -307,13 +289,14 @@ class ModelEvaluator:
             raise ValueError(f"elements {a} and {b} are mirror partners and need one modulus")
 
     def _derive_plan(self, models: tuple[ModelSpec, ...]) -> tuple[np.ndarray, ...]:
-        """Each model's d, (P, 5) active dimensions and (P, 9) mirror-class
-        dimensions, cached per tuple by `_plan`. A model whose groups split
-        mirror partners raises ValueError at any position."""
+        """Each model's d, and the (P, 9) flat indices into (P, 5) positions
+        of its mirror classes' search dimensions, cached per tuple by
+        `_plan`. A model whose groups split mirror partners raises
+        ValueError at any position."""
         dims = np.stack([model.element_dims for model in models])
         self._require_mirror(dims)
-        d = np.array([model.d for model in models])
-        plan = (d, np.arange(SEARCH_DIMS) < d[:, None], dims[:, self._classes])
+        flat = dims[:, self._classes] + SEARCH_DIMS * np.arange(len(models))[:, None]
+        plan = (np.array([model.d for model in models]), flat)
         for arr in plan:
             arr.setflags(write=False)
         return plan
@@ -375,13 +358,15 @@ class ModelEvaluator:
     def _class_moduli(self, positions: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
         """(P, 9) class moduli of (P, 5) positions under a `_plan`; ValueError if invalid."""
         positions = np.asarray(positions, dtype=float)
-        _, active, class_dims = plan
-        if positions.shape != active.shape:
-            raise ValueError(f"positions must have shape {active.shape}")
-        if np.any(positions[active] <= 0.0):
-            raise ValueError("active position dimensions must be positive moduli")
-        class_moduli = np.take_along_axis(positions, class_dims, axis=1)
-        if not np.all(np.isfinite(class_moduli)):
+        d, flat = plan
+        if positions.shape != (len(d), SEARCH_DIMS):
+            raise ValueError(f"positions must have shape {(len(d), SEARCH_DIMS)}")
+        class_moduli = positions.take(flat)
+        # Every active dimension is some class's: two reductions pass a valid
+        # batch (nan fails the first), and only a failure looks closer.
+        if not (class_moduli.min() > 0.0 and class_moduli.max() < math.inf):
+            if np.any(class_moduli <= 0.0):
+                raise ValueError("active position dimensions must be positive moduli")
             raise ValueError("element moduli must be finite")
         return class_moduli
 
@@ -441,15 +426,24 @@ def _default_evaluator() -> ModelEvaluator:
 
 # Solved points the screen keeps per particle: a ring of its last ones.
 SCREEN_RING = 32
-# Runs of fewer iterations solve every row: the screen's set-up and bounds
-# cost about what they save until its rings fill (break-even near 3).
-SCREEN_MIN_ITERATIONS = 4
 # Slack of a computed eigenvalue as a share of its spectrum's largest: a
 # backward-stable solve errs by p(n) eps ||K|| (LAPACK Users' Guide 4.7) and
 # forming K by a few eps ||K||; 16 n eps with n = 23, the largest block,
 # covers both. At nominal moduli the computed rigid eigenvalues (exactly 0)
-# are <= 2.5e-6, eps lam_max 1.7e-5, the slack 6.2e-3, 1e-6 lam_7 0.11.
+# are <= 2.5e-6, eps lam_max 1.7e-5, the slack 6.2e-3, 1e-6 lam_7 0.11. The
+# slack bounds eigenvalues; SCREEN_MARGIN covers the rounding of the score.
 SCREEN_SLACK = 16 * 23 * np.finfo(float).eps
+# A row is skipped only if its bound beats the threshold t by a margin of
+# SCREEN_MARGIN max(1, |t|). The bound's residuals are the exact path's own
+# f - sqrt(lam)/2pi at a bracket end, squared and summed in its order, so its
+# sum S is not above the computed score's (a clamp moved by rounding alone
+# adds under 1e-24 Hz^2). AIC = n ln(max(S/n, floor)) + 2d is monotone in S:
+# it beats t + margin iff max(S, n floor) > n exp((t + margin - 2d)/n).
+# Rounding that limit (sums, exp, products), the computed score (log, the
+# 2^-44 snap, + 2d) and that excess of S over n floor err by under
+# 2e-12 max(1, |t|), a 2e-3 part of the margin; the rest keeps a skipped
+# row's computed score above t. SSE: S/2 > t + margin iff S > 2 (t + margin).
+SCREEN_MARGIN = 1e-9
 
 
 class _Screen:
@@ -459,10 +453,12 @@ class _Screen:
     for any solved point E', alpha and beta the extreme ratios E_c / E'_c
     (Courant-Fischer). Widened by SCREEN_SLACK, the points kept for a
     particle bracket a row's computed eigenvalues at index 6 and at the
-    measured ranks, which bound its score by the objective's own formula.
-    A row whose bound exceeds its threshold, and whose bracket proves the
-    six rigid modes, comes back +inf, unsolved; `ModelEvaluator._score`
-    solves every other row, as `evaluate_batch` does.
+    measured ranks. Clamping the measured eigenvalues (2 pi f)^2 into the
+    brackets gives the smallest residuals, 0 inside a bracket, and their
+    squared sum S bounds the score: a row whose S exceeds the limit its
+    threshold sets (see SCREEN_MARGIN), and whose bracket proves the six
+    rigid modes, comes back +inf, unsolved. `ModelEvaluator._score` solves
+    every other row, as `evaluate_batch` does. Every run scores through it.
     """
 
     def __init__(self, evaluator: ModelEvaluator, objective_kind: ObjectiveKind):
@@ -470,10 +466,13 @@ class _Screen:
         self.kind = objective_kind
         self.models: tuple[ModelSpec, ...] | None = None
         self._columns = np.concatenate([[6], evaluator._ranks])  # kept: index 6, the ranks
+        self._measured = evaluator.measured.frequencies_hz[:, None]
+        self._lam = (2.0 * np.pi * self._measured) ** 2
 
     def _start(self, models: tuple[ModelSpec, ...]) -> None:
         self.models = models
         self.plan = self.evaluator._plan(tuple(models))
+        self._penalty = 2.0 * self.plan[0]
         # Field x particle x ring slot; fields: 9 class moduli, lam -/+ tau at
         # the kept columns, slack of a spectrum at most as high. Empty: nan.
         self.points = np.full((10 + 2 * len(self._columns), len(models), SCREEN_RING), math.nan)
@@ -497,7 +496,8 @@ class _Screen:
         """Bounds (k, P) on the computed eigenvalues at the kept columns of
         (P, 9) class moduli, and the (P,) slack of their rigid ones."""
         k = len(self._columns)
-        points = self.points[..., : min(self.pushes.max(), SCREEN_RING)]
+        # One empty (nan) slot at least: a call before any solve bounds nothing.
+        points = self.points[..., : min(max(self.pushes.max(), 1), SCREEN_RING)]
         ratio = moduli.T[..., None] / points[:9]
         alpha, beta = ratio.min(axis=0), ratio.max(axis=0)
         slack = beta * points[-1]
@@ -511,16 +511,19 @@ class _Screen:
         if np.isnan(threshold).all():  # no particle has scored: nothing to bound
             return np.zeros(len(threshold), dtype=bool)
         low, high, slack = self.bracket(moduli)
-        measured = self.evaluator.measured.frequencies_hz[:, None]
-        f_low, f_high = (frequencies_from_eigenvalues(bound[1:]) for bound in (low, high))
-        # The smallest residual each frequency bracket allows.
-        r = measured - np.minimum(np.maximum(measured, f_low), f_high)
-        # The objective module itself, not this module's names: a bound is
-        # not a score, and the benchmark tracer counts scores by those names.
-        bound = (objective.aic if self.kind == "AIC" else objective.sse)(r.T, self.plan[0])
-        margin = 1e-9 * np.maximum(1.0, np.abs(threshold))
+        lam = np.minimum(np.maximum(self._lam, low[1:]), high[1:])
+        # Nan brackets (no point kept) give nan sums, which skip nothing.
+        r = np.where(lam != self._lam, self._measured - frequencies_from_eigenvalues(lam), 0.0)
+        total = (r * r).sum(axis=0)
+        limit = threshold + SCREEN_MARGIN * np.maximum(1.0, np.abs(threshold))
+        if self.kind == "AIC":
+            n = len(r)
+            total = np.maximum(total, n * SIGMA_SQ_FLOOR)
+            limit = n * np.exp((limit - self._penalty) / n)
+        else:
+            limit = 2.0 * limit
         # Rigid eigenvalues lie within `slack` of 0, lam_6 above low[0]: six.
-        return (bound.value > threshold + margin) & (slack < RIGID_BODY_RATIO * low[0])
+        return (total > limit) & (slack < RIGID_BODY_RATIO * low[0])
 
     def _keep(self, rows, moduli, spectra) -> None:
         """Push the solved rows into their particles' rings. A point
@@ -556,17 +559,17 @@ _CSV_HEADER = (
     + ","
     + ",".join(f"pos_m{i}_{j}" for i in range(1, 9) for j in range(1, 6))
 )
+# Iteration, w, gbest model, then 17 digits ("%.17g" % x is "{:.17g}".format(x)).
+_CSV_ROW = "%d,%.17g,%d," + ",".join(["%.17g"] * (_CSV_HEADER.count(",") - 2))
 
 
 def render_convergence_csv(record: RunRecord) -> str:
-    lines = [_CSV_HEADER]
-    for row in record.rows:
-        numbers = (row.gbest_fitness, *row.model_fitness, *itertools.chain(*row.positions))
-        lines.append(
-            f"{row.iteration},{_format_number(row.w)},{row.gbest_model_id},"
-            + ",".join(map(_format_number, numbers))
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        _CSV_ROW % (row.iteration, row.w, row.gbest_model_id, row.gbest_fitness,
+                    *row.model_fitness, *itertools.chain.from_iterable(row.positions))
+        for row in record.rows
+    )
+    return "\n".join([_CSV_HEADER, *rows]) + "\n"
 
 
 def _to_json(obj) -> str:
@@ -584,8 +587,6 @@ def _to_json(obj) -> str:
         return _format_number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, Path):
-        return json.dumps(str(obj))
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -644,17 +645,13 @@ def _write_mode_shapes(path: Path, evaluator: ModelEvaluator, record: RunRecord)
     moduli = element_modulus_vector(model, np.asarray(best.position))
     k = evaluator.stiffness(moduli)
     eigenvalues, eigenvectors = solve_generalized_eigen(k, evaluator.m_global)
-    frequencies = frequencies_from_eigenvalues(eigenvalues)
-
-    n_modes = min(13, len(frequencies))
-    n_dofs = eigenvectors.shape[0]
-    header = "mode,frequency_hz," + ",".join(f"phi_{i}" for i in range(1, n_dofs + 1))
-    lines = [header]
-    for mode in range(n_modes):
-        parts = [str(mode + 1), _format_number(float(frequencies[mode]))]
-        parts.extend(_format_number(float(x)) for x in eigenvectors[:, mode])
-        lines.append(",".join(parts))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    frequencies = frequencies_from_eigenvalues(eigenvalues[:13]).tolist()
+    header = "mode,frequency_hz," + ",".join(f"phi_{i}" for i in range(1, len(eigenvalues) + 1))
+    rows = (
+        f"{mode},{_format_number(f)}," + ",".join(map(_format_number, phi))
+        for mode, (f, phi) in enumerate(zip(frequencies, eigenvectors.T[:13].tolist()), 1)
+    )
+    _write_atomic(path, "\n".join([header, *rows]) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
@@ -662,14 +659,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     result.json (and optionally mode_shapes.csv) into output_dir."""
     config.validate()
     evaluator = _default_evaluator()
-    kind = config.swarm.objective_kind
-
-    def every_row(models, positions, threshold):
-        score, errors = evaluator.evaluate_batch(models, positions, kind)
-        return score.value, errors
-
-    long_run = config.swarm.n_iterations >= SCREEN_MIN_ITERATIONS
-    record = swarm_engine.run(config.swarm, _Screen(evaluator, kind) if long_run else every_row)
+    record = swarm_engine.run(config.swarm, _Screen(evaluator, config.swarm.objective_kind))
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -155,9 +155,10 @@ class SwarmState:
             if arr.shape != expected:
                 raise ValueError(f"{name} must have shape {expected}")
             arr.setflags(write=False)
-        if np.isnan(self.pbest_fitness).all():
+        gbest = int(best_first(self.models, self.pbest_fitness)[0])
+        if math.isnan(self.pbest_fitness[gbest]):  # nan sorts last: none scored
             raise RuntimeError("no particle produced a successful evaluation")
-        object.__setattr__(self, "gbest", int(best_first(self.models, self.pbest_fitness)[0]))
+        object.__setattr__(self, "gbest", gbest)
 
     @property
     def gbest_position(self) -> np.ndarray:
@@ -172,10 +173,21 @@ class SwarmState:
         return self.models[self.gbest].model_id
 
 
+# Tie-break keys (model ids, then d) of the last model tuple ordered: the
+# swarm orders the same tuple every iteration. A memo; no order depends on it.
+_last_keys: tuple = ((), ())
+
+
 def best_first(models: Sequence[ModelSpec], fitness: np.ndarray) -> np.ndarray:
     """Row indices ordered best first: lowest fitness (nan last), then
     fewer parameters, then lower model id."""
-    return np.lexsort(([m.model_id for m in models], [m.d for m in models], fitness))
+    global _last_keys
+    cached, keys = _last_keys
+    if models is not cached:
+        keys = np.array([[m.model_id for m in models], [m.d for m in models]])
+        if isinstance(models, tuple):  # a list may change under the cache
+            _last_keys = models, keys
+    return np.lexsort((*keys, fitness))
 
 
 # Scores a (P, 5) stack of positions, row i for models[i], given each row's
@@ -249,9 +261,9 @@ def clamp_velocity(raw: np.ndarray, v_min: float, v_max: float) -> np.ndarray:
     """Clip each component to [-v_max, v_max], then push any component
     whose magnitude fell below v_min back out to v_min, keeping its sign
     (a zero counts as positive)."""
-    clipped = np.clip(raw, -v_max, v_max)
-    sign = np.where(clipped >= 0.0, 1.0, -1.0)
-    return np.where(np.abs(clipped) < v_min, sign * v_min, clipped)
+    clipped = np.minimum(np.maximum(raw, -v_max), v_max)
+    floor = np.where(clipped >= 0.0, v_min, -v_min)
+    return np.where(np.abs(clipped) < v_min, floor, clipped)
 
 
 def _evaluate(
@@ -269,13 +281,7 @@ def _evaluate(
     for i in sorted(errors):
         scored[i] = False
         if failures is not None:
-            failures.append(
-                EvaluationFailure(
-                    iteration=iteration,
-                    model_id=models[i].model_id,
-                    reason=str(errors[i]),
-                )
-            )
+            failures.append(EvaluationFailure(iteration, models[i].model_id, str(errors[i])))
     return np.asarray(values, dtype=float), scored
 
 
@@ -341,15 +347,17 @@ def step(
         + config.c2 * r2 * (state.gbest_position - state.position)
     )
     velocity = clamp_velocity(raw, config.v_min, config.v_max)
-    position = np.clip(state.position + velocity, config.m_min, config.m_max)
+    position = np.minimum(np.maximum(state.position + velocity, config.m_min), config.m_max)
 
     iteration = state.iteration + 1
     values, scored = _evaluate(
         state.models, position, state.pbest_fitness, iteration, fitness, failures
     )
-    improved = scored & (np.isnan(state.pbest_fitness) | (values < state.pbest_fitness))
-    pbest_position = np.where(improved[:, None], position, state.pbest_position)
-    pbest_fitness = np.where(improved, values, state.pbest_fitness)
+    pbest_position, pbest_fitness = state.pbest_position, state.pbest_fitness
+    improved = scored & (np.isnan(pbest_fitness) | (values < pbest_fitness))
+    if improved.any():  # most iterations improve no personal best
+        pbest_position = np.where(improved[:, None], position, pbest_position)
+        pbest_fitness = np.where(improved, values, pbest_fitness)
     return SwarmState(
         models=state.models,
         position=position,

@@ -123,7 +123,6 @@ def test_one_batched_eigen_solve_per_swarm_iteration(tracing, tmp_path, monkeypa
     config = runner.ExperimentConfig(
         swarm=swarm.SwarmConfig(n_iterations=6, seed=0), output_dir=tmp_path / "out"
     )
-    assert config.swarm.n_iterations >= runner.SCREEN_MIN_ITERATIONS
     tracer = tracing.Tracer(tracing.layer_targets(cli, runner, swarm))
     eigen_spans_before_step = []
     real_step = swarm.step

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import warnings
@@ -20,6 +21,7 @@ from femselect.modal import (
     ConvergenceError,
     StructureError,
     free_free_frequencies,
+    frequencies_from_eigenvalues,
     generalized_eigenvalues,
 )
 from femselect.objective import aic, residuals, sse
@@ -448,9 +450,12 @@ class TestEvaluateBatch:
         others = [i for i in range(8) if i != 5]
         assert np.array_equal(score.value[others], expected.value[others])
 
-    def test_run_logs_failures_against_the_right_model(self, tmp_path, monkeypatch):
+    def test_run_logs_failures_against_the_right_model(self, evaluator, tmp_path, monkeypatch):
+        # Every row solved, so stack row i is particle i; a screened run's
+        # stack is the next two tests'.
         monkeypatch.setattr(np.linalg, "eigvalsh", FailingEigvalsh(3))
-        record = run_experiment(tiny_config(tmp_path, n_iterations=2, seed=0))
+        config = tiny_config(tmp_path, n_iterations=2, seed=0).swarm
+        record = swarm.run(config, unscreened(evaluator, config.objective_kind))
         assert [(f.iteration, f.model_id) for f in record.failures] == [(0, 4), (1, 4), (2, 4)]
         assert all("row 3 did not converge" in f.reason for f in record.failures)
         assert record.ranking[-1].model_id == 4
@@ -463,7 +468,7 @@ class TestEvaluateBatch:
         # 8's, which never scores, so has no threshold and is always solved.
         failing = FailingEigvalsh(-1)
         monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-        n = runner.SCREEN_MIN_ITERATIONS
+        n = 2
         record = run_experiment(tiny_config(tmp_path, n_iterations=n, seed=0))
         assert min(failing.stack_rows) < 8  # some rows were skipped
         logged = [(f.iteration, f.model_id) for f in record.failures]
@@ -472,6 +477,42 @@ class TestEvaluateBatch:
         assert record.ranking[-1].model_id == 8
         assert math.isnan(record.ranking[-1].fitness)
         assert not any(math.isnan(e.fitness) for e in record.ranking[:-1])
+
+    def test_failure_inside_a_screened_stack_is_charged_to_its_particle(
+        self, tmp_path, monkeypatch
+    ):
+        # Stack row 3 fails in every call. Once the screen skips rows it is
+        # not particle 4's row, and the failure goes to whose row it is.
+        solved = []
+        real = runner._Screen._cannot_improve
+
+        def recorded(screen, moduli, threshold):
+            skip = real(screen, moduli, threshold)
+            solved.append(np.flatnonzero(~skip))
+            return skip
+
+        monkeypatch.setattr(runner._Screen, "_cannot_improve", recorded)
+        monkeypatch.setattr(np.linalg, "eigvalsh", FailingEigvalsh(3))
+        record = run_experiment(tiny_config(tmp_path, n_iterations=2, seed=0))
+        charged = [(i, int(rows[3]) + 1) for i, rows in enumerate(solved)]
+        assert [(f.iteration, f.model_id) for f in record.failures] == charged
+        assert charged[0] == (0, 4) and any(model != 4 for _, model in charged)
+        assert all("row 3 did not converge" in f.reason for f in record.failures)
+
+
+def objective_bound_skips(screen, moduli, threshold):
+    """The skip decision of a screen by the objective's own formula, with
+    the screen's bracket and margin: frequency brackets, the smallest
+    residuals they allow, then `aic` or `sse` of those. Returns the score
+    bounds and the rows to skip."""
+    low, high, slack = screen.bracket(moduli)
+    measured = screen.evaluator.measured.frequencies_hz[:, None]
+    f_low, f_high = (frequencies_from_eigenvalues(bound[1:]) for bound in (low, high))
+    r = measured - np.minimum(np.maximum(measured, f_low), f_high)
+    bound = (aic if screen.kind == "AIC" else sse)(r.T, screen.plan[0]).value
+    margin = 1e-9 * np.maximum(1.0, np.abs(threshold))
+    skip = (bound > threshold + margin) & (slack < runner.RIGID_BODY_RATIO * low[0])
+    return bound, skip
 
 
 def unscreened(evaluator, kind):
@@ -525,6 +566,13 @@ class TestScreen:
         again, _ = screen(catalog, positions, exact.value)
         assert np.array_equal(again, exact.value)
 
+    def test_first_call_with_thresholds_solves_every_row(self, evaluator, catalog):
+        # Nothing is kept before the first solve, so nothing can be skipped.
+        positions = in_bound_positions(9)
+        exact, _ = evaluator.evaluate_batch(catalog, positions, "AIC")
+        values, errors = runner._Screen(evaluator, "AIC")(catalog, positions, exact.value - 1.0)
+        assert errors == {} and np.array_equal(values, exact.value)
+
     @pytest.mark.parametrize("preset", [1, 2, 3, 4])
     def test_skipped_rows_cannot_beat_their_threshold(self, evaluator, preset):
         config = dataclasses.replace(preset_config(preset, seed=preset).swarm, n_iterations=100)
@@ -545,18 +593,95 @@ class TestScreen:
         swarm.run(config, checked)
         assert sum(skipped) > 0.5 * 8 * config.n_iterations
 
-    def test_only_runs_of_the_minimum_length_are_screened(self, tmp_path, monkeypatch):
+    def test_runs_of_any_length_are_screened(self, tmp_path, monkeypatch):
         rows = []
         real = runner.generalized_eigenvalues
         monkeypatch.setattr(
             runner, "generalized_eigenvalues", lambda b: rows.append(len(b[0])) or real(b)
         )
-        short = runner.SCREEN_MIN_ITERATIONS - 1
-        run_experiment(tiny_config(tmp_path, n_iterations=short, seed=0))
-        assert rows == [8] * (short + 1)
-        rows.clear()
-        run_experiment(tiny_config(tmp_path, n_iterations=short + 1, seed=0))
-        assert rows[0] == 8 and sum(rows) < 8 * (short + 2)
+        for n in (1, 2, 4):
+            rows.clear()
+            run_experiment(tiny_config(tmp_path, n_iterations=n, seed=0))
+            # Iteration 0 solves every row; the later ones skip some.
+            assert rows[0] == 8 and sum(rows[1:]) < 8 * n
+
+    @pytest.mark.parametrize("preset", [1, 2, 3, 4])
+    def test_squared_residual_bound_decides_as_the_objective_bound(self, evaluator, preset):
+        config = dataclasses.replace(preset_config(preset, seed=preset).swarm, n_iterations=100)
+        screen = runner._Screen(evaluator, config.objective_kind)
+        real = screen._cannot_improve
+        decided = []
+
+        def compared(moduli, threshold):
+            skip = real(moduli, threshold)
+            if np.isnan(threshold).all():  # the first batch: nothing kept yet
+                assert not skip.any()
+                return skip
+            bound, expected = objective_bound_skips(screen, moduli, threshold)
+            assert np.array_equal(skip, expected)
+            # Thresholds half a margin either side of where each bound
+            # stops skipping: the rows the bracket proves rigid skip below
+            # it, and no row skips above it.
+            proven = objective_bound_skips(screen, moduli, bound - 1.0)[1]
+            width = 1e-9 * np.maximum(1.0, np.abs(bound))
+            for shift, skips in ((1.5, proven), (0.5, np.zeros_like(proven))):
+                near = bound - shift * width
+                assert np.array_equal(real(moduli, near), skips)
+                assert np.array_equal(objective_bound_skips(screen, moduli, near)[1], skips)
+            decided.append(np.isfinite(bound).sum())
+            return skip
+
+        screen._cannot_improve = compared
+        swarm.run(config, screen)
+        assert decided == [8] * config.n_iterations
+
+    def test_squared_residual_bound_applies_the_variance_floor(self, evaluator, catalog):
+        # One kept point, and a row within a factor 4 of it on every class:
+        # every measured frequency lies inside its bracket, so the bound's
+        # residuals are 0 and the floored variance alone sets the score.
+        screen = runner._Screen(evaluator, "AIC")
+        models = (catalog[0],)
+        position = np.full((1, 5), 7.2e10)
+        screen(models, position, np.full(1, math.nan))
+        moduli = evaluator._class_moduli(position, screen.plan) * np.where(
+            np.arange(9) % 2, 0.25, 4.0
+        )
+        floor = aic(np.zeros((1, 5)), screen.plan[0]).value
+        bound, _ = objective_bound_skips(screen, moduli, floor)
+        assert np.array_equal(bound, floor)
+        for shift, skips in ((-1.0, True), (1.0, False)):
+            threshold = floor + shift
+            assert objective_bound_skips(screen, moduli, threshold)[1].tolist() == [skips]
+            assert screen._cannot_improve(moduli, threshold).tolist() == [skips]
+
+    @pytest.mark.parametrize("value", [0.0, -6.0e10, -math.inf, math.inf, math.nan])
+    def test_screen_and_batch_reject_an_active_dimension_alike(
+        self, evaluator, catalog, value
+    ):
+        positions = in_bound_positions(2)
+        positions[4, 4] = value  # active for model 5
+        messages = []
+        for fitness in (
+            lambda p: runner._Screen(evaluator, "AIC")(catalog, p, np.full(8, math.nan)),
+            lambda p: evaluator.evaluate_batch(catalog, p, "AIC"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                fitness(positions)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert ("positive" if value <= 0.0 else "finite") in messages[0]
+
+    def test_screen_and_batch_accept_nan_in_an_inactive_dimension(self, evaluator, catalog):
+        positions = in_bound_positions(2)
+        positions[0, 1:] = math.nan  # model 1 uses dimension 1 alone
+        screen = runner._Screen(evaluator, "SSE")
+        screened, errors = screen(catalog, positions, np.full(8, math.nan))
+        exact, exact_errors = evaluator.evaluate_batch(catalog, positions, "SSE")
+        assert errors == exact_errors == {}
+        assert np.array_equal(screened, exact.value)
+        # A later call, with thresholds, takes the same checks.
+        again, _ = screen(catalog, positions, exact.value + 1.0)
+        assert np.all(np.isinf(again) | (again == exact.value))
 
     @pytest.mark.parametrize("preset", [2, 4])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -722,6 +847,32 @@ class TestRunExperiment:
             assert float(cells[3]) == row.gbest_fitness
             flat = [x for pos in row.positions for x in pos]
             assert [float(c) for c in cells[12:]] == flat
+
+
+class TestCsvRowFormat:
+    def test_percent_format_equals_str_format(self):
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 7.5e10, 1 / 3]
+        bits = np.random.default_rng(0).integers(0, 2**64, 10_000, dtype=np.uint64)
+        for x in special + bits.view(np.float64).tolist():
+            assert "%.17g" % x == "{:.17g}".format(x)
+
+    @pytest.mark.parametrize("preset", [1, 3])
+    def test_rows_equal_the_per_number_rendering(self, tmp_path, preset):
+        base = preset_config(preset, seed=preset, output_dir=tmp_path)
+        record = run_experiment(
+            dataclasses.replace(base, swarm=dataclasses.replace(base.swarm, n_iterations=50))
+        )
+        number = "{:.17g}".format
+        lines = [runner._CSV_HEADER]
+        for row in record.rows:
+            numbers = (row.gbest_fitness, *row.model_fitness, *itertools.chain(*row.positions))
+            lines.append(
+                f"{row.iteration},{number(row.w)},{row.gbest_model_id},"
+                + ",".join(map(number, numbers))
+            )
+        assert render_convergence_csv(record) == "\n".join(lines) + "\n"
+        assert (tmp_path / "convergence.csv").read_text() == render_convergence_csv(record)
 
 
 class TestRanking:
