@@ -444,6 +444,10 @@ SCREEN_SLACK = 16 * 23 * np.finfo(float).eps
 # 2e-12 max(1, |t|), a 2e-3 part of the margin; the rest keeps a skipped
 # row's computed score above t. SSE: S/2 > t + margin iff S > 2 (t + margin).
 SCREEN_MARGIN = 1e-9
+# Iterations of a window bracketed at once. malloc maps a block of 128 KB or
+# more afresh, page faults and all, and a 16-iteration bracket's (9, 128, 32)
+# ratios take 295 KB: 128 faults a call. Four iterations' take 74 KB.
+SCREEN_BLOCK = 4
 
 
 class _Screen:
@@ -465,22 +469,33 @@ class _Screen:
         self.evaluator = evaluator
         self.kind = objective_kind
         self.models: tuple[ModelSpec, ...] | None = None
+        self.particles: tuple[ModelSpec, ...] = ()
         self._columns = np.concatenate([[6], evaluator._ranks])  # kept: index 6, the ranks
         self._measured = evaluator.measured.frequencies_hz[:, None]
         self._lam = (2.0 * np.pi * self._measured) ** 2
 
-    def _start(self, models: tuple[ModelSpec, ...]) -> None:
+    def _select(self, models: tuple[ModelSpec, ...]) -> None:
+        """Take `models` as the particles tiled k times, the rows of a
+        window of k iterations, or else start a new run with them."""
+        k = len(models) // max(len(self.particles), 1)
+        if not k or models != self.particles * k:
+            plan = self.evaluator._plan(tuple(models))
+            self.particles, self._plans, k = models, {1: (plan, 2.0 * plan[0])}, 1
+            # Field x particle x ring slot; fields: 9 class moduli, lam -/+ tau at
+            # the kept columns, slack of a spectrum at most as high. Empty: nan.
+            self.points = np.full((10 + 2 * len(self._columns), len(models), SCREEN_RING), math.nan)
+            self.pushes = np.zeros(len(models), dtype=int)
+        if k not in self._plans:
+            (d, flat), penalty = self._plans[1]
+            flat = flat + SEARCH_DIMS * len(d) * np.arange(k)[:, None, None]
+            plan = np.concatenate([d] * k), flat.reshape(k * len(d), -1)
+            self._plans[k] = plan, np.concatenate([penalty] * k)
         self.models = models
-        self.plan = self.evaluator._plan(tuple(models))
-        self._penalty = 2.0 * self.plan[0]
-        # Field x particle x ring slot; fields: 9 class moduli, lam -/+ tau at
-        # the kept columns, slack of a spectrum at most as high. Empty: nan.
-        self.points = np.full((10 + 2 * len(self._columns), len(models), SCREEN_RING), math.nan)
-        self.pushes = np.zeros(len(models), dtype=int)
+        self.plan, self._penalty = self._plans[k]
 
     def __call__(self, models, positions, threshold):
         if models is not self.models:
-            self._start(models)
+            self._select(models)
         moduli = self.evaluator._class_moduli(positions, self.plan)
         threshold = np.asarray(threshold, dtype=float)
         values = np.full(len(models), math.inf)
@@ -493,19 +508,25 @@ class _Screen:
         return values, {int(rows[i]): error for i, error in errors.items()}
 
     def bracket(self, moduli: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Bounds (k, P) on the computed eigenvalues at the kept columns of
-        (P, 9) class moduli, and the (P,) slack of their rigid ones."""
+        """Bounds (k, R) on the computed eigenvalues at the kept columns of
+        (R, 9) class moduli, and the (R,) slack of their rigid ones. Row r
+        is bracketed by the ring of particle r mod P."""
+        if len(moduli) > (block := SCREEN_BLOCK * len(self.particles)):
+            parts = (self.bracket(moduli[i : i + block]) for i in range(0, len(moduli), block))
+            return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
         k = len(self._columns)
         # One empty (nan) slot at least: a call before any solve bounds nothing.
-        points = self.points[..., : min(max(self.pushes.max(), 1), SCREEN_RING)]
-        ratio = moduli.T[..., None] / points[:9]
+        points = self.points[..., None, :, : min(max(self.pushes.max(), 1), SCREEN_RING)]
+        # Rows as (9, windows, P, 1) against rings as (9, 1, P, slots).
+        rows = moduli.reshape(-1, len(self.particles), 9).transpose(2, 0, 1)[..., None]
+        ratio = rows / points[:9]
         alpha, beta = ratio.min(axis=0), ratio.max(axis=0)
         slack = beta * points[-1]
         low = alpha * points[9 : 9 + k] - slack
         high = beta * points[9 + k : 9 + 2 * k] + slack
         # fmax and fmin skip nan: empty slots and failed rows bound nothing.
-        low, high = np.fmax.reduce(low, axis=2), np.fmin.reduce(high, axis=2)
-        return low, high, np.fmin.reduce(slack, axis=1)
+        low, high = np.fmax.reduce(low, axis=3), np.fmin.reduce(high, axis=3)
+        return low.reshape(k, -1), high.reshape(k, -1), np.fmin.reduce(slack, axis=2).ravel()
 
     def _cannot_improve(self, moduli, threshold) -> np.ndarray:
         if np.isnan(threshold).all():  # no particle has scored: nothing to bound
@@ -526,8 +547,9 @@ class _Screen:
         return (total > limit) & (slack < RIGID_BODY_RATIO * low[0])
 
     def _keep(self, rows, moduli, spectra) -> None:
-        """Push the solved rows into their particles' rings. A point
-        brackets a row of any model, so the first batch fills every ring."""
+        """Push the solved rows into their particles' rings in row order. A
+        point brackets a row of any model, so the first batch fills every
+        ring."""
         lam, tau = spectra[:, self._columns], SCREEN_SLACK * spectra[:, -1:]
         fields = (moduli, lam - tau, lam + tau, SCREEN_SLACK * (spectra[:, -1:] + tau))
         point = np.concatenate(fields, axis=1).T
@@ -535,8 +557,14 @@ class _Screen:
             self.points[..., : len(rows)] = point[:, None]
             self.pushes[:] = len(rows)
         else:
-            self.points[:, rows, self.pushes[rows] % SCREEN_RING] = point
-            self.pushes[rows] += 1
+            # A window may solve a particle once per iteration, so each row
+            # takes the slot after the particle's previous row.
+            particles, pushes, slots = rows % len(self.pushes), self.pushes.tolist(), []
+            for i in particles.tolist():
+                slots.append(pushes[i] % SCREEN_RING)
+                pushes[i] += 1
+            self.points[:, particles, slots] = point
+            self.pushes[:] = pushes
 
 
 def evaluate_model(
@@ -564,6 +592,10 @@ _CSV_ROW = "%d,%.17g,%d," + ",".join(["%.17g"] * (_CSV_HEADER.count(",") - 2))
 
 
 def render_convergence_csv(record: RunRecord) -> str:
+    """The trace, one row per iteration, of a record with the eight
+    particles of the full catalog (ValueError otherwise)."""
+    if record.rows and (n := len(record.rows[0].positions)) != 8:
+        raise ValueError(f"convergence.csv has columns for 8 particles; the record has {n}")
     rows = (
         _CSV_ROW % (row.iteration, row.w, row.gbest_model_id, row.gbest_fitness,
                     *row.model_fitness, *itertools.chain.from_iterable(row.positions))

@@ -4,14 +4,16 @@ Eight particles, one per model in the catalog, share a 5-dimensional
 search space. A particle only "owns" its first `model.d` coordinates;
 the remaining ones are carried through every update but never reach the
 fitness function. The swarm state is a set of arrays with one row per
-particle, and every iteration scores all particles with one batched
-fitness call given each particle's personal best, which a row proven
-unable to beat may return as +inf unsolved. Velocity and position are
-clamped each iteration, and the inertia weight either stays at 1 (mode
-"none") or decays linearly over the first half of the run (mode
-"adaptive"). One order ranks the particles, `best_first`: the global
-best is the particle it puts first, and the final ranking lists all of
-them in it.
+particle. Most iterations improve no personal best, so a run moves the
+swarm through a window of iterations as if none did, scores all its rows
+with one batched fitness call given each particle's personal best (a row
+proven unable to beat it may come back +inf, unsolved), and keeps the
+iterations up to the first that improved a best: those of a one-at-a-time
+run, bit for bit. Velocity and position are clamped each iteration, and
+the inertia weight either stays at 1 (mode "none") or decays linearly
+over the first half of the run (mode "adaptive"). One order ranks the
+particles, `best_first`: the global best is the particle it puts first,
+and the final ranking lists all of them in it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from .objective import ObjectiveKind
 from .records import ConvergenceRow, EvaluationFailure, RankingEntry, RunRecord
 
 InertiaMode = Literal["none", "adaptive"]
+
+# Most iterations a run scores with one fitness call. A window starts at one
+# iteration, doubles after a window that improved no personal best, and
+# halves after one that did.
+WINDOW_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -190,11 +197,14 @@ def best_first(models: Sequence[ModelSpec], fitness: np.ndarray) -> np.ndarray:
     return np.lexsort((*keys, fitness))
 
 
-# Scores a (P, 5) stack of positions, row i for models[i], given each row's
-# personal best as its (P,) threshold (nan: the row must be solved). Returns
-# the (P,) objective values, +inf for a row proven not to beat its
-# threshold, and, keyed by row, the eigensolver error of every row that
-# failed (its value is ignored). Any other exception aborts.
+# Scores an (R, 5) stack of positions, row i for models[i], given each row's
+# personal best as its (R,) threshold (nan: the row must be solved). A window
+# of k iterations passes the particles' tuple tiled k times: row r is particle
+# r mod P at the window's iteration r // P. Returns the (R,) objective values,
+# +inf for a row proven not to beat its threshold, and, keyed by row, the
+# eigensolver error of every row that failed (its value is ignored). Any other
+# exception aborts the run, even on a row the window would have dropped; with
+# positions clamped to m_min > 0 no FE fitness row raises one.
 FitnessFn = Callable[
     [Sequence[ModelSpec], np.ndarray, np.ndarray],
     tuple[np.ndarray, Mapping[int, EigenSolveError]],
@@ -208,9 +218,10 @@ class RngStream:
     Initialization consumes, per particle in index order: d standard
     normals (position offsets), then d uniform magnitudes, then d sign
     draws. Every iteration afterwards consumes, per particle in index
-    order, one (r1, r2) uniform pair per search dimension, r1 first.
-    Identical seeds therefore reproduce identical trajectories no matter
-    how fitness evaluations are scheduled.
+    order, one (r1, r2) uniform pair per search dimension, r1 first;
+    `run` draws the pairs of all its iterations at once, right after
+    initialization. Identical seeds therefore reproduce identical
+    trajectories no matter how fitness evaluations are scheduled.
     """
 
     seed: int
@@ -228,11 +239,12 @@ class RngStream:
     def signs(self, n: int) -> np.ndarray:
         return np.where(self._rng.random(n) < 0.5, -1.0, 1.0)
 
-    def uniform_pairs(self, count: int) -> np.ndarray:
+    def uniform_pairs(self, *count: int) -> np.ndarray:
         """(r1, r2) for each dimension of `count` particles, shape
-        (count, 5, 2). One draw fills particle by particle, so it equals
-        `count` draws of shape (5, 2) in particle order."""
-        return self._rng.random((count, SEARCH_DIMS, 2))
+        (*count, 5, 2). One draw fills particle by particle, so it equals
+        draws of shape (5, 2) in row-major order: (N, P) gives the pairs
+        of N iterations of P particles."""
+        return self._rng.random((*count, SEARCH_DIMS, 2))
 
 
 def inertia_schedule(config: SwarmConfig, iteration: int) -> float:
@@ -266,23 +278,14 @@ def clamp_velocity(raw: np.ndarray, v_min: float, v_max: float) -> np.ndarray:
     return np.where(np.abs(clipped) < v_min, floor, clipped)
 
 
-def _evaluate(
-    models: tuple[ModelSpec, ...],
-    position: np.ndarray,
-    threshold: np.ndarray,
-    iteration: int,
-    fitness: FitnessFn,
-    failures: list[EvaluationFailure] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One batched fitness call: the values and a mask of the rows that
-    scored. Failures are logged in particle order."""
-    values, errors = fitness(models, position, threshold)
-    scored = np.ones(len(models), dtype=bool)
-    for i in sorted(errors):
-        scored[i] = False
-        if failures is not None:
-            failures.append(EvaluationFailure(iteration, models[i].model_id, str(errors[i])))
-    return np.asarray(values, dtype=float), scored
+def _log(failures, errors, particles: tuple[ModelSpec, ...], iteration: int, rows: int) -> None:
+    """Log the failures of the first `rows` rows in row order, row r as
+    particle r mod P at `iteration` + r // P."""
+    n = len(particles)
+    for r in sorted(errors) if failures is not None else ():
+        if r < rows:
+            model_id = particles[r % n].model_id
+            failures.append(EvaluationFailure(iteration + r // n, model_id, str(errors[r])))
 
 
 def init_swarm(
@@ -308,9 +311,10 @@ def init_swarm(
         signs = rng.signs(d)
         velocity[i, :d] = signs * magnitudes
 
-    unscored = np.full(len(models), math.nan)
-    values, scored = _evaluate(models, position, unscored, 0, fitness, failures)
-    pbest_fitness = np.where(scored, values, math.nan)
+    values, errors = fitness(models, position, np.full(len(models), math.nan))
+    _log(failures, errors, models, 0, len(models))
+    pbest_fitness = np.array(values, dtype=float)
+    pbest_fitness[list(errors)] = math.nan
     return SwarmState(
         models=models,
         position=position,
@@ -321,6 +325,73 @@ def init_swarm(
     )
 
 
+def _window(
+    state: SwarmState,
+    config: SwarmConfig,
+    fitness: FitnessFn,
+    pairs: np.ndarray,
+    weights: Sequence[float],
+    models: tuple[ModelSpec, ...],
+    failures: list[EvaluationFailure] | None = None,
+    rows: list[ConvergenceRow] | None = None,
+) -> tuple[SwarmState, bool]:
+    """Advance through a window of k iterations: their (k, P, 5, 2) random
+    pairs and inertia weights, and `models`, the particles tiled k times.
+
+    The particles move against the window's bests, one fitness call scores
+    all k * P rows, and the window is kept through its first iteration in
+    which a scored row beat its personal best, or whole; later rows are
+    dropped unlogged. Personal bests update on strict improvement, the
+    global best derives from them (`best_first` breaks ties), a row that
+    raised an eigensolver error keeps its pbest and is logged, and each
+    kept iteration's snapshot goes to `rows`. Returns the new state and
+    whether a best improved.
+    """
+    n, k, t = len(state.models), len(weights), state.iteration
+    pbest_position, pbest_fitness = state.pbest_position, state.pbest_fitness
+    attract_pbest, attract_gbest = config.c1 * pairs[..., 0], config.c2 * pairs[..., 1]
+    positions, velocities = np.empty((k, n, SEARCH_DIMS)), []
+    position, velocity, gbest_position = state.position, state.velocity, state.gbest_position
+    for i, w in enumerate(weights):
+        raw = (
+            w * velocity
+            + attract_pbest[i] * (pbest_position - position)
+            + attract_gbest[i] * (gbest_position - position)
+        )
+        velocity = clamp_velocity(raw, config.v_min, config.v_max)
+        velocities.append(velocity)
+        position = np.minimum(
+            np.maximum(position + velocity, config.m_min), config.m_max, out=positions[i]
+        )
+
+    threshold = pbest_fitness if k == 1 else np.tile(pbest_fitness, k)
+    values, errors = fitness(models, positions.reshape(k * n, -1), threshold)
+    values = np.asarray(values, dtype=float)
+    improved = np.isnan(threshold) | (values < threshold)
+    if errors:  # a failed row scored nothing
+        improved[list(errors)] = False
+    first = np.flatnonzero(improved)
+    kept = int(first[0]) // n + 1 if first.size else k
+    _log(failures, errors, state.models, t + 1, kept * n)
+    if first.size:
+        last = slice((kept - 1) * n, kept * n)
+        pbest_position = np.where(improved[last, None], positions[kept - 1], pbest_position)
+        pbest_fitness = np.where(improved[last], values[last], pbest_fitness)
+    after = SwarmState(
+        models=state.models, position=positions[kept - 1], velocity=velocities[kept - 1],
+        pbest_position=pbest_position, pbest_fitness=pbest_fitness, iteration=t + kept,
+    )
+    for i, position in enumerate(positions[:kept].tolist() if rows is not None else ()):
+        bests = after if i == kept - 1 else state
+        rows.append(ConvergenceRow(
+            iteration=t + i + 1, w=weights[i],
+            gbest_model_id=bests.gbest_model_id, gbest_fitness=bests.gbest_fitness,
+            model_fitness=tuple(bests.pbest_fitness.tolist()),
+            positions=tuple(map(tuple, position)),
+        ))
+    return after, bool(first.size)
+
+
 def step(
     state: SwarmState,
     config: SwarmConfig,
@@ -328,55 +399,11 @@ def step(
     rng: RngStream,
     failures: list[EvaluationFailure] | None = None,
 ) -> SwarmState:
-    """Advance the swarm one iteration.
-
-    All particles move against the same frozen gbest, then evaluate, then
-    personal bests update on strict improvement. The new state derives
-    its global best from those personal bests, so the best personal best
-    never rises; on a tie the particle `best_first` puts first holds it. A
-    row whose evaluation raised an eigensolver error keeps its pbest and
-    is logged; the swarm keeps going.
-    """
-    w = inertia_schedule(config, state.iteration)
-    draws = rng.uniform_pairs(len(state.models))
-    r1 = draws[..., 0]
-    r2 = draws[..., 1]
-    raw = (
-        w * state.velocity
-        + config.c1 * r1 * (state.pbest_position - state.position)
-        + config.c2 * r2 * (state.gbest_position - state.position)
-    )
-    velocity = clamp_velocity(raw, config.v_min, config.v_max)
-    position = np.minimum(np.maximum(state.position + velocity, config.m_min), config.m_max)
-
-    iteration = state.iteration + 1
-    values, scored = _evaluate(
-        state.models, position, state.pbest_fitness, iteration, fitness, failures
-    )
-    pbest_position, pbest_fitness = state.pbest_position, state.pbest_fitness
-    improved = scored & (np.isnan(pbest_fitness) | (values < pbest_fitness))
-    if improved.any():  # most iterations improve no personal best
-        pbest_position = np.where(improved[:, None], position, pbest_position)
-        pbest_fitness = np.where(improved, values, pbest_fitness)
-    return SwarmState(
-        models=state.models,
-        position=position,
-        velocity=velocity,
-        pbest_position=pbest_position,
-        pbest_fitness=pbest_fitness,
-        iteration=iteration,
-    )
-
-
-def _snapshot(state: SwarmState, config: SwarmConfig) -> ConvergenceRow:
-    return ConvergenceRow(
-        iteration=state.iteration,
-        w=inertia_schedule(config, state.iteration - 1),
-        gbest_model_id=state.gbest_model_id,
-        gbest_fitness=state.gbest_fitness,
-        model_fitness=tuple(state.pbest_fitness.tolist()),
-        positions=tuple(map(tuple, state.position.tolist())),
-    )
+    """Advance the swarm one iteration: a window of one, with the next
+    pairs of `rng`."""
+    pairs = rng.uniform_pairs(len(state.models))[None]
+    weights = [inertia_schedule(config, state.iteration)]
+    return _window(state, config, fitness, pairs, weights, state.models, failures)[0]
 
 
 def _ranking(state: SwarmState) -> tuple[RankingEntry, ...]:
@@ -406,15 +433,23 @@ def run(
     failures: list[EvaluationFailure] = []
     state = init_swarm(config, catalog, rng, fitness, failures)
     initial_gbest = state.gbest_fitness
+    n_iterations = config.n_iterations
+    pairs = rng.uniform_pairs(n_iterations, len(state.models))
+    weights = [inertia_schedule(config, i) for i in range(n_iterations)]
 
-    rows = []
-    converged_at = 0
-    for _ in range(config.n_iterations):
+    tiled: dict[int, tuple[ModelSpec, ...]] = {}
+    rows: list[ConvergenceRow] = []
+    converged_at, k = 0, 1
+    while (t := state.iteration) < n_iterations:
+        k = min(k, n_iterations - t)
+        models = tiled.setdefault(k, state.models * k)
         previous_gbest = state.gbest_fitness
-        state = step(state, config, fitness, rng, failures)
+        state, improved = _window(
+            state, config, fitness, pairs[t : t + k], weights[t : t + k], models, failures, rows
+        )
         if state.gbest_fitness < previous_gbest:
             converged_at = state.iteration
-        rows.append(_snapshot(state, config))
+        k = max(k // 2, 1) if improved else min(2 * k, WINDOW_MAX)
 
     return RunRecord(
         config=config,

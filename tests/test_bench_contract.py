@@ -118,29 +118,31 @@ def test_tracer_sees_each_layer_of_one_batch_once(tracing):
 
 
 def test_one_batched_eigen_solve_per_swarm_iteration(tracing, tmp_path, monkeypatch):
-    # Iteration 0 solves every row in one call; a later iteration solves
-    # the rows its screen cannot rule out in one call, or none at all.
+    # Iteration 0 solves every row in one call; a later window of
+    # iterations solves the rows its screen cannot rule out in one call, or
+    # none at all. A window holds one iteration or more, so no iteration
+    # takes more than one call.
     config = runner.ExperimentConfig(
-        swarm=swarm.SwarmConfig(n_iterations=6, seed=0), output_dir=tmp_path / "out"
+        swarm=swarm.SwarmConfig(n_iterations=40, seed=0), output_dir=tmp_path / "out"
     )
     tracer = tracing.Tracer(tracing.layer_targets(cli, runner, swarm))
-    eigen_spans_before_step = []
-    real_step = swarm.step
+    eigen_spans_before_call = []
+    real_call = runner._Screen.__call__
 
-    def step(*args, **kwargs):
-        eigen_spans_before_step.append(list(tracer.name).count(tracer.names.index("modal.eigvals")))
-        return real_step(*args, **kwargs)
+    def call(screen, *args):
+        eigen_spans_before_call.append(list(tracer.name).count(tracer.names.index("modal.eigvals")))
+        return real_call(screen, *args)
 
-    monkeypatch.setattr(swarm, "step", step)
+    monkeypatch.setattr(runner._Screen, "__call__", call)
     with tracer.phase():
         runner.run_experiment(config)
     assert tracing.span_problems(tracer) == []
     _, calls = tracer.phase_totals()[0]
     assert calls["swarm"] == 1
-    per_iteration = np.diff([0, *eigen_spans_before_step, calls["modal.eigvals"]])
-    assert len(per_iteration) == config.swarm.n_iterations + 1
-    assert per_iteration[0] == 1
-    assert np.all(per_iteration <= 1)
+    per_call = np.diff([*eigen_spans_before_call, calls["modal.eigvals"]])
+    assert 1 < len(per_call) < config.swarm.n_iterations + 1  # some window spans iterations
+    assert per_call[0] == 1
+    assert np.all(per_call <= 1)
 
     names = np.array(tracer.names)[np.array(tracer.name)]
     parent = np.array(tracer.parent)

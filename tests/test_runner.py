@@ -321,9 +321,9 @@ def in_bound_positions(seed: int, n: int = 8) -> np.ndarray:
 
 
 class FailingEigvalsh:
-    """Stands in for `np.linalg.eigvalsh`: a call on a stack of rows
-    raises LinAlgError, and so does a later call on the blocks that row
-    `bad_row` had in that stack; every other call is solved as usual."""
+    """Stands in for `np.linalg.eigvalsh`: a call on a stack that has a row
+    `bad_row` raises LinAlgError, and so does a later call on the blocks
+    that row had in that stack; every other call is solved as usual."""
 
     def __init__(self, bad_row: int):
         self.real = np.linalg.eigvalsh
@@ -332,7 +332,7 @@ class FailingEigvalsh:
         self.stack_rows = []
 
     def __call__(self, blocks):
-        if blocks.ndim == 4:
+        if blocks.ndim == 4 and -len(blocks) <= self.bad_row < len(blocks):
             self.stack_rows.append(len(blocks))
             self.bad_blocks = blocks[self.bad_row].copy()
             raise np.linalg.LinAlgError("stack did not converge")
@@ -481,22 +481,37 @@ class TestEvaluateBatch:
     def test_failure_inside_a_screened_stack_is_charged_to_its_particle(
         self, tmp_path, monkeypatch
     ):
-        # Stack row 3 fails in every call. Once the screen skips rows it is
-        # not particle 4's row, and the failure goes to whose row it is.
-        solved = []
-        real = runner._Screen._cannot_improve
+        # Stack row 3 fails in every call that solves four rows or more.
+        # Once the screen skips rows it is not particle 4's row, and in a
+        # window of several iterations it need not be the first iteration's:
+        # the failure goes to the particle and iteration whose row it is, and
+        # only the failure of an iteration the window keeps is logged.
+        solved, starts = [], [0]
+        real_skip, real_window = runner._Screen._cannot_improve, swarm._window
 
         def recorded(screen, moduli, threshold):
-            skip = real(screen, moduli, threshold)
+            skip = real_skip(screen, moduli, threshold)
             solved.append(np.flatnonzero(~skip))
             return skip
 
+        def window(state, *args):
+            starts.append(state.iteration + 1)
+            return real_window(state, *args)
+
         monkeypatch.setattr(runner._Screen, "_cannot_improve", recorded)
+        monkeypatch.setattr(swarm, "_window", window)
         monkeypatch.setattr(np.linalg, "eigvalsh", FailingEigvalsh(3))
-        record = run_experiment(tiny_config(tmp_path, n_iterations=2, seed=0))
-        charged = [(i, int(rows[3]) + 1) for i, rows in enumerate(solved)]
+        n = 40
+        record = run_experiment(tiny_config(tmp_path, n_iterations=n, seed=0))
+        charged, dropped, later = [], [], False
+        for start, end, rows in zip(starts, [*starts[1:], n + 1], solved):
+            if len(rows) > 3:
+                iteration, particle = start + int(rows[3]) // 8, int(rows[3]) % 8
+                (charged if iteration < end else dropped).append((iteration, particle + 1))
+                later |= start < iteration < end
         assert [(f.iteration, f.model_id) for f in record.failures] == charged
         assert charged[0] == (0, 4) and any(model != 4 for _, model in charged)
+        assert later and dropped  # a kept failure past a window's first iteration, a dropped one
         assert all("row 3 did not converge" in f.reason for f in record.failures)
 
 
@@ -628,12 +643,14 @@ class TestScreen:
                 near = bound - shift * width
                 assert np.array_equal(real(moduli, near), skips)
                 assert np.array_equal(objective_bound_skips(screen, moduli, near)[1], skips)
-            decided.append(np.isfinite(bound).sum())
+            decided.append((np.isfinite(bound).sum(), len(bound)))
             return skip
 
         screen._cannot_improve = compared
         swarm.run(config, screen)
-        assert decided == [8] * config.n_iterations
+        # Every row of every window after the first batch is bounded.
+        assert all(finite == rows for finite, rows in decided)
+        assert sum(rows for _, rows in decided) >= 8 * config.n_iterations
 
     def test_squared_residual_bound_applies_the_variance_floor(self, evaluator, catalog):
         # One kept point, and a row within a factor 4 of it on every class:
@@ -682,6 +699,56 @@ class TestScreen:
         # A later call, with thresholds, takes the same checks.
         again, _ = screen(catalog, positions, exact.value + 1.0)
         assert np.all(np.isinf(again) | (again == exact.value))
+
+    def test_window_rows_go_to_their_particles_rings_in_row_order(self, evaluator, catalog):
+        screen = runner._Screen(evaluator, "SSE")
+        screen(catalog, in_bound_positions(0), np.full(8, math.nan))  # fills every ring
+        window = in_bound_positions(1, 3 * 8)  # three iterations of eight particles
+        screen(catalog * 3, window, np.full(3 * 8, math.nan))
+        assert np.all(screen.pushes == 8 + 3)
+        moduli = evaluator._class_moduli(window, screen.plan)
+        for r in range(3 * 8):
+            assert np.array_equal(screen.points[:9, r % 8, 8 + r // 8], moduli[r])
+
+    def test_a_window_is_bracketed_as_its_iterations(self, evaluator, catalog):
+        screen = runner._Screen(evaluator, "AIC")
+        for seed in range(3):
+            screen(catalog, in_bound_positions(seed), np.full(8, math.nan))
+        # More iterations than one block of the bracket takes.
+        window = in_bound_positions(3, 6 * 8)
+        screen(catalog * 6, window, np.full(6 * 8, math.nan))
+        moduli = evaluator._class_moduli(window, screen.plan)
+        together = screen.bracket(moduli)
+        for j in range(6):
+            rows = slice(8 * j, 8 * j + 8)
+            for whole, alone in zip(together, screen.bracket(moduli[rows])):
+                assert np.array_equal(whole[..., rows], alone)
+
+    @pytest.mark.parametrize("preset", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_windowed_run_equals_one_iteration_windows(self, evaluator, monkeypatch, preset, seed):
+        config = dataclasses.replace(preset_config(preset, seed=seed).swarm, n_iterations=100)
+        windowed = swarm.run(config, runner._Screen(evaluator, config.objective_kind))
+        monkeypatch.setattr(swarm, "WINDOW_MAX", 1)
+        stepped = swarm.run(config, runner._Screen(evaluator, config.objective_kind))
+        assert windowed == stepped
+        assert render_convergence_csv(windowed) == render_convergence_csv(stepped)
+
+    def test_a_preset_run_makes_few_fitness_calls(self, evaluator):
+        # Most iterations improve no personal best, so windows grow: a
+        # 500-iteration preset 1 run takes far fewer calls than 501.
+        config = preset_config(1, seed=0).swarm
+        screen = runner._Screen(evaluator, config.objective_kind)
+        rows = []
+
+        def counted(models, positions, threshold):
+            rows.append(len(models))
+            return screen(models, positions, threshold)
+
+        record = swarm.run(config, counted)
+        assert len(record.rows) == 500
+        assert len(rows) <= 150
+        assert sum(rows) >= 8 * 501
 
     @pytest.mark.parametrize("preset", [2, 4])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -873,6 +940,13 @@ class TestCsvRowFormat:
             )
         assert render_convergence_csv(record) == "\n".join(lines) + "\n"
         assert (tmp_path / "convergence.csv").read_text() == render_convergence_csv(record)
+
+
+    def test_other_particle_counts_are_rejected_by_name(self, catalog):
+        config = SwarmConfig(n_iterations=2, objective_kind="SSE")
+        record = swarm.run(config, lambda m, p, t: (np.ones(len(m)), {}), catalog=catalog[:4])
+        with pytest.raises(ValueError, match="columns for 8 particles; the record has 4"):
+            render_convergence_csv(record)
 
 
 class TestRanking:

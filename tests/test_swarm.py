@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from femselect import swarm
 from femselect.beam_structure import model_catalog
 from femselect.modal import ConvergenceError
+from femselect.runner import render_convergence_csv
 from femselect.swarm import (
     RngStream,
     SwarmConfig,
     SwarmState,
+    _window,
     clamp_velocity,
     inertia_schedule,
     init_swarm,
@@ -44,6 +47,18 @@ def flaky_fitness(models, positions, threshold=None):
         if m.model_id == 3
     }
     return values, errors
+
+
+def noisy_fitness(models, positions, threshold=None):
+    """Row by row: quad_value plus noise drawn from the bits of each
+    position, and a ConvergenceError for about one row in 25."""
+    values, errors = [], {}
+    for r, (model, x) in enumerate(zip(models, positions)):
+        u = np.random.default_rng(x.view(np.uint64).tolist()).random()
+        values.append(quad_value(model, x) + 10.0 * u)
+        if u < 0.04:
+            errors[r] = ConvergenceError("synthetic noise")
+    return np.array(values), errors
 
 
 class PresetNormalsRng(RngStream):
@@ -335,6 +350,18 @@ class TestRngStream:
         batched = RngStream(seed).uniform_pairs(n_particles)
         ref = np.random.default_rng(seed)
         sequential = np.stack([ref.random((5, 2)) for _ in range(n_particles)])
+        np.testing.assert_array_equal(batched, sequential)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_iterations=st.integers(1, 20),
+        n_particles=st.integers(1, 8),
+    )
+    def test_one_draw_equals_sequential_iteration_draws(self, seed, n_iterations, n_particles):
+        # `run` draws the pairs of every iteration at once after initialization.
+        batched = RngStream(seed).uniform_pairs(n_iterations, n_particles)
+        rng = RngStream(seed)
+        sequential = np.stack([rng.uniform_pairs(n_particles) for _ in range(n_iterations)])
         np.testing.assert_array_equal(batched, sequential)
 
     def test_signs_are_plus_minus_one(self):
@@ -676,6 +703,85 @@ class TestRun:
             current, _ = quad_fitness(state.models, state.position)
             assert np.all(state.pbest_fitness <= current)
             assert state.gbest_fitness == state.pbest_fitness.min()
+
+
+class TestWindows:
+    K = 8
+
+    def setup_window(self, catalog):
+        config = SwarmConfig(n_iterations=20, objective_kind="SSE")
+        rng = RngStream(5)
+        state = init_swarm(config, catalog, rng, quad_fitness)
+        weights = [inertia_schedule(config, i) for i in range(self.K)]
+        return config, state, rng.uniform_pairs(self.K, len(catalog)), weights
+
+    @pytest.mark.parametrize("at", [0, 3, 7])  # first, middle and last iteration
+    def test_window_ends_at_its_first_improvement(self, catalog, at):
+        config, state, pairs, weights = self.setup_window(catalog)
+        ahead = []  # where the particles go when no best changes
+        never = lambda models, positions, threshold: (np.asarray(threshold) + 1.0, {})
+        _window(state, config, never, pairs, weights, state.models * self.K, None, ahead)
+        assert len(ahead) == self.K
+        # Particle 0 improves at window iteration `at`, particle 1 fails
+        # there, and particle 2 fails one iteration later, which is dropped.
+        def from_iteration(first):
+            def fitness(models, positions, threshold):
+                values, errors = np.asarray(threshold) + 1.0, {}
+                for r in range(len(models)):
+                    row = (first + r // len(catalog), r % len(catalog))
+                    if row == (at, 0):
+                        values[r] = threshold[r] - 1.0
+                    if row in ((at, 1), (at + 1, 2)):
+                        errors[r] = ConvergenceError("synthetic")
+                return values, errors
+
+            return fitness
+
+        windowed = ([], [])
+        after, improved = _window(
+            state, config, from_iteration(0), pairs, weights, state.models * self.K, *windowed
+        )
+        assert improved and after.iteration == at + 1
+        stepped, one = ([], []), state
+        for i in range(at + 1):
+            one, _ = _window(one, config, from_iteration(i), pairs[i : i + 1],
+                             weights[i : i + 1], state.models, *stepped)
+        assert windowed == stepped
+        assert windowed[1] == ahead[:at] + [windowed[1][-1]]
+        assert [(f.iteration, f.model_id) for f in windowed[0]] == [(at + 1, 2)]
+        assert after.pbest_fitness[0] == state.pbest_fitness[0] - 1.0
+        for name in ("position", "velocity", "pbest_position", "pbest_fitness"):
+            np.testing.assert_array_equal(getattr(after, name), getattr(one, name))
+
+    def test_run_equals_one_iteration_windows(self, monkeypatch):
+        config = SwarmConfig(n_iterations=200, seed=3, objective_kind="SSE")
+        windows, returned = [], []
+        real = swarm._window
+
+        def recorded(state, *args):
+            after, improved = real(state, *args)
+            windows.append((len(args[3]), after.iteration - state.iteration, improved))
+            return after, improved
+
+        def counted(models, positions, threshold):
+            values, errors = noisy_fitness(models, positions, threshold)
+            returned.append(len(errors))
+            return values, errors
+
+        monkeypatch.setattr(swarm, "_window", recorded)
+        windowed = run(config, counted)
+        monkeypatch.setattr(swarm, "_window", real)
+        monkeypatch.setattr(swarm, "WINDOW_MAX", 1)
+        stepped = run(config, noisy_fitness)
+        assert render_convergence_csv(windowed) == render_convergence_csv(stepped)
+        assert windowed.failures == stepped.failures
+        assert windowed.converged_at == stepped.converged_at
+        assert [e.model_id for e in windowed.ranking] == [e.model_id for e in stepped.ranking]
+        # The first improvement of a longer window fell on its first, a
+        # middle and its last iteration, and some failure was dropped.
+        ends = {kept if kept < k else "last" for k, kept, improved in windows if improved and k > 2}
+        assert {1, "last"} <= ends and ends - {1, "last"}
+        assert sum(returned) > len(windowed.failures)
 
 
 class TestSwarmState:
