@@ -352,16 +352,21 @@ class ModelEvaluator:
         mirror-splitting models raise ValueError. A row's score does not
         depend on the other rows."""
         plan = self._plan(tuple(models))
-        score, errors, _ = self._score(self._class_moduli(positions, plan), plan[0], objective_kind)
+        positions = np.asarray(positions, dtype=float)
+        if positions.shape != (expected := (len(models), SEARCH_DIMS)):
+            raise ValueError(f"positions must have shape {expected}")
+        moduli = self._class_moduli(positions[None], plan)
+        score, errors, _ = self._score(moduli, plan[0], objective_kind)
         return score, errors
 
     def _class_moduli(self, positions: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
-        """(P, 9) class moduli of (P, 5) positions under a `_plan`; ValueError if invalid."""
+        """(k P, 9) class moduli of (k, P, 5) positions under a `_plan` of P
+        models, row i P + p for position [i, p]; ValueError if invalid."""
         positions = np.asarray(positions, dtype=float)
         d, flat = plan
-        if positions.shape != (len(d), SEARCH_DIMS):
-            raise ValueError(f"positions must have shape {(len(d), SEARCH_DIMS)}")
-        class_moduli = positions.take(flat)
+        if positions.shape[1:] != (len(d), SEARCH_DIMS):
+            raise ValueError(f"positions must have shape (k, {len(d)}, 5), not {positions.shape}")
+        class_moduli = positions.reshape(len(positions), -1).take(flat, axis=1).reshape(-1, 9)
         # Every active dimension is some class's: two reductions pass a valid
         # batch (nan fails the first), and only a failure looks closer.
         if not (class_moduli.min() > 0.0 and class_moduli.max() < math.inf):
@@ -469,40 +474,30 @@ class _Screen:
         self.evaluator = evaluator
         self.kind = objective_kind
         self.models: tuple[ModelSpec, ...] | None = None
-        self.particles: tuple[ModelSpec, ...] = ()
         self._columns = np.concatenate([[6], evaluator._ranks])  # kept: index 6, the ranks
         self._measured = evaluator.measured.frequencies_hz[:, None]
         self._lam = (2.0 * np.pi * self._measured) ** 2
 
-    def _select(self, models: tuple[ModelSpec, ...]) -> None:
-        """Take `models` as the particles tiled k times, the rows of a
-        window of k iterations, or else start a new run with them."""
-        k = len(models) // max(len(self.particles), 1)
-        if not k or models != self.particles * k:
-            plan = self.evaluator._plan(tuple(models))
-            self.particles, self._plans, k = models, {1: (plan, 2.0 * plan[0])}, 1
-            # Field x particle x ring slot; fields: 9 class moduli, lam -/+ tau at
-            # the kept columns, slack of a spectrum at most as high. Empty: nan.
-            self.points = np.full((10 + 2 * len(self._columns), len(models), SCREEN_RING), math.nan)
-            self.pushes = np.zeros(len(models), dtype=int)
-        if k not in self._plans:
-            (d, flat), penalty = self._plans[1]
-            flat = flat + SEARCH_DIMS * len(d) * np.arange(k)[:, None, None]
-            plan = np.concatenate([d] * k), flat.reshape(k * len(d), -1)
-            self._plans[k] = plan, np.concatenate([penalty] * k)
-        self.models = models
-        self.plan, self._penalty = self._plans[k]
+    def _start(self, models: tuple[ModelSpec, ...]) -> None:
+        """Start a run of the particles `models`: their plan and empty rings."""
+        self.models, self.plan = models, self.evaluator._plan(tuple(models))
+        self._penalty = 2.0 * self.plan[0]
+        # Field x particle x ring slot; fields: 9 class moduli, lam -/+ tau at
+        # the kept columns, slack of a spectrum at most as high. Empty: nan.
+        self.points = np.full((10 + 2 * len(self._columns), len(models), SCREEN_RING), math.nan)
+        self.pushes = np.zeros(len(models), dtype=int)
 
     def __call__(self, models, positions, threshold):
         if models is not self.models:
-            self._select(models)
+            self._start(models)
         moduli = self.evaluator._class_moduli(positions, self.plan)
         threshold = np.asarray(threshold, dtype=float)
-        values = np.full(len(models), math.inf)
+        values = np.full(len(moduli), math.inf)
         rows = np.flatnonzero(~self._cannot_improve(moduli, threshold))
         if not rows.size:
             return values, {}
-        score, errors, spectra = self.evaluator._score(moduli[rows], self.plan[0][rows], self.kind)
+        d = self.plan[0][rows % len(models)]
+        score, errors, spectra = self.evaluator._score(moduli[rows], d, self.kind)
         values[rows] = score.value
         self._keep(rows, moduli[rows], spectra)
         return values, {int(rows[i]): error for i, error in errors.items()}
@@ -511,14 +506,14 @@ class _Screen:
         """Bounds (k, R) on the computed eigenvalues at the kept columns of
         (R, 9) class moduli, and the (R,) slack of their rigid ones. Row r
         is bracketed by the ring of particle r mod P."""
-        if len(moduli) > (block := SCREEN_BLOCK * len(self.particles)):
+        if len(moduli) > (block := SCREEN_BLOCK * len(self.models)):
             parts = (self.bracket(moduli[i : i + block]) for i in range(0, len(moduli), block))
             return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
         k = len(self._columns)
         # One empty (nan) slot at least: a call before any solve bounds nothing.
         points = self.points[..., None, :, : min(max(self.pushes.max(), 1), SCREEN_RING)]
         # Rows as (9, windows, P, 1) against rings as (9, 1, P, slots).
-        rows = moduli.reshape(-1, len(self.particles), 9).transpose(2, 0, 1)[..., None]
+        rows = moduli.reshape(-1, len(self.models), 9).transpose(2, 0, 1)[..., None]
         ratio = rows / points[:9]
         alpha, beta = ratio.min(axis=0), ratio.max(axis=0)
         slack = beta * points[-1]
@@ -529,13 +524,15 @@ class _Screen:
         return low.reshape(k, -1), high.reshape(k, -1), np.fmin.reduce(slack, axis=2).ravel()
 
     def _cannot_improve(self, moduli, threshold) -> np.ndarray:
+        """Which rows of (k P, 9) class moduli are proven unable to beat
+        their particle's entry of the (P,) thresholds."""
         if np.isnan(threshold).all():  # no particle has scored: nothing to bound
-            return np.zeros(len(threshold), dtype=bool)
+            return np.zeros(len(moduli), dtype=bool)
         low, high, slack = self.bracket(moduli)
         lam = np.minimum(np.maximum(self._lam, low[1:]), high[1:])
         # Nan brackets (no point kept) give nan sums, which skip nothing.
         r = np.where(lam != self._lam, self._measured - frequencies_from_eigenvalues(lam), 0.0)
-        total = (r * r).sum(axis=0)
+        total = (r * r).sum(axis=0).reshape(-1, len(threshold))
         limit = threshold + SCREEN_MARGIN * np.maximum(1.0, np.abs(threshold))
         if self.kind == "AIC":
             n = len(r)
@@ -544,7 +541,7 @@ class _Screen:
         else:
             limit = 2.0 * limit
         # Rigid eigenvalues lie within `slack` of 0, lam_6 above low[0]: six.
-        return (total > limit) & (slack < RIGID_BODY_RATIO * low[0])
+        return (total > limit).ravel() & (slack < RIGID_BODY_RATIO * low[0])
 
     def _keep(self, rows, moduli, spectra) -> None:
         """Push the solved rows into their particles' rings in row order. A

@@ -5,15 +5,16 @@ search space. A particle only "owns" its first `model.d` coordinates;
 the remaining ones are carried through every update but never reach the
 fitness function. The swarm state is a set of arrays with one row per
 particle. Most iterations improve no personal best, so a run moves the
-swarm through a window of iterations as if none did, scores all its rows
-with one batched fitness call given each particle's personal best (a row
-proven unable to beat it may come back +inf, unsolved), and keeps the
-iterations up to the first that improved a best: those of a one-at-a-time
-run, bit for bit. Velocity and position are clamped each iteration, and
-the inertia weight either stays at 1 (mode "none") or decays linearly
-over the first half of the run (mode "adaptive"). One order ranks the
-particles, `best_first`: the global best is the particle it puts first,
-and the final ranking lists all of them in it.
+swarm through a window of k iterations as if none did, scores its
+(k, P, 5) positions with one batched fitness call given the P personal
+bests (a row proven unable to beat its particle's may come back +inf,
+unsolved), and keeps the iterations up to the first that improved a
+best: those of a one-at-a-time run, bit for bit. Velocity and position
+are clamped each iteration, and the inertia weight either stays at 1
+(mode "none") or decays linearly over the first half of the run (mode
+"adaptive"). One order ranks the particles, `best_first`: the global
+best is the particle it puts first, and the final ranking lists all of
+them in it.
 """
 
 from __future__ import annotations
@@ -180,31 +181,21 @@ class SwarmState:
         return self.models[self.gbest].model_id
 
 
-# Tie-break keys (model ids, then d) of the last model tuple ordered: the
-# swarm orders the same tuple every iteration. A memo; no order depends on it.
-_last_keys: tuple = ((), ())
-
-
 def best_first(models: Sequence[ModelSpec], fitness: np.ndarray) -> np.ndarray:
     """Row indices ordered best first: lowest fitness (nan last), then
     fewer parameters, then lower model id."""
-    global _last_keys
-    cached, keys = _last_keys
-    if models is not cached:
-        keys = np.array([[m.model_id for m in models], [m.d for m in models]])
-        if isinstance(models, tuple):  # a list may change under the cache
-            _last_keys = models, keys
-    return np.lexsort((*keys, fitness))
+    return np.lexsort(([m.model_id for m in models], [m.d for m in models], fitness))
 
 
-# Scores an (R, 5) stack of positions, row i for models[i], given each row's
-# personal best as its (R,) threshold (nan: the row must be solved). A window
-# of k iterations passes the particles' tuple tiled k times: row r is particle
-# r mod P at the window's iteration r // P. Returns the (R,) objective values,
-# +inf for a row proven not to beat its threshold, and, keyed by row, the
-# eigensolver error of every row that failed (its value is ignored). Any other
-# exception aborts the run, even on a row the window would have dropped; with
-# positions clamped to m_min > 0 no FE fitness row raises one.
+# Scores a window of k iterations of the P particles `models` (the same tuple
+# on every call of a run): (k, P, 5) positions, position [i, p] for models[p],
+# against the (P,) personal bests as thresholds (nan: the particle's rows must
+# be solved). Initialization is a window of one. Returns the k P objective
+# values in row order i P + p, +inf for a row proven not to beat its
+# particle's threshold, and, keyed by that row, the eigensolver error of every
+# row that failed (its value is ignored). Any other exception aborts the run,
+# even on a row the window would have dropped; with positions clamped to
+# m_min > 0 no FE fitness row raises one.
 FitnessFn = Callable[
     [Sequence[ModelSpec], np.ndarray, np.ndarray],
     tuple[np.ndarray, Mapping[int, EigenSolveError]],
@@ -311,7 +302,7 @@ def init_swarm(
         signs = rng.signs(d)
         velocity[i, :d] = signs * magnitudes
 
-    values, errors = fitness(models, position, np.full(len(models), math.nan))
+    values, errors = fitness(models, position[None], np.full(len(models), math.nan))
     _log(failures, errors, models, 0, len(models))
     pbest_fitness = np.array(values, dtype=float)
     pbest_fitness[list(errors)] = math.nan
@@ -331,21 +322,20 @@ def _window(
     fitness: FitnessFn,
     pairs: np.ndarray,
     weights: Sequence[float],
-    models: tuple[ModelSpec, ...],
     failures: list[EvaluationFailure] | None = None,
     rows: list[ConvergenceRow] | None = None,
 ) -> tuple[SwarmState, bool]:
     """Advance through a window of k iterations: their (k, P, 5, 2) random
-    pairs and inertia weights, and `models`, the particles tiled k times.
+    pairs and inertia weights.
 
     The particles move against the window's bests, one fitness call scores
-    all k * P rows, and the window is kept through its first iteration in
-    which a scored row beat its personal best, or whole; later rows are
-    dropped unlogged. Personal bests update on strict improvement, the
-    global best derives from them (`best_first` breaks ties), a row that
-    raised an eigensolver error keeps its pbest and is logged, and each
-    kept iteration's snapshot goes to `rows`. Returns the new state and
-    whether a best improved.
+    their (k, P, 5) positions, and the window is kept through its first
+    iteration in which a scored row beat its personal best, or whole; later
+    rows are dropped unlogged. Personal bests update on strict improvement,
+    the global best derives from them (`best_first` breaks ties), a row
+    that raised an eigensolver error keeps its pbest and is logged, and
+    each kept iteration's snapshot goes to `rows`. Returns the new state
+    and whether a best improved.
     """
     n, k, t = len(state.models), len(weights), state.iteration
     pbest_position, pbest_fitness = state.pbest_position, state.pbest_fitness
@@ -364,19 +354,18 @@ def _window(
             np.maximum(position + velocity, config.m_min), config.m_max, out=positions[i]
         )
 
-    threshold = pbest_fitness if k == 1 else np.tile(pbest_fitness, k)
-    values, errors = fitness(models, positions.reshape(k * n, -1), threshold)
-    values = np.asarray(values, dtype=float)
-    improved = np.isnan(threshold) | (values < threshold)
+    values, errors = fitness(state.models, positions, pbest_fitness)
+    values = np.asarray(values, dtype=float).reshape(k, n)
+    improved = np.isnan(pbest_fitness) | (values < pbest_fitness)
     if errors:  # a failed row scored nothing
-        improved[list(errors)] = False
+        improved.flat[list(errors)] = False
     first = np.flatnonzero(improved)
     kept = int(first[0]) // n + 1 if first.size else k
     _log(failures, errors, state.models, t + 1, kept * n)
     if first.size:
-        last = slice((kept - 1) * n, kept * n)
-        pbest_position = np.where(improved[last, None], positions[kept - 1], pbest_position)
-        pbest_fitness = np.where(improved[last], values[last], pbest_fitness)
+        last = improved[kept - 1]
+        pbest_position = np.where(last[:, None], positions[kept - 1], pbest_position)
+        pbest_fitness = np.where(last, values[kept - 1], pbest_fitness)
     after = SwarmState(
         models=state.models, position=positions[kept - 1], velocity=velocities[kept - 1],
         pbest_position=pbest_position, pbest_fitness=pbest_fitness, iteration=t + kept,
@@ -403,7 +392,7 @@ def step(
     pairs of `rng`."""
     pairs = rng.uniform_pairs(len(state.models))[None]
     weights = [inertia_schedule(config, state.iteration)]
-    return _window(state, config, fitness, pairs, weights, state.models, failures)[0]
+    return _window(state, config, fitness, pairs, weights, failures)[0]
 
 
 def _ranking(state: SwarmState) -> tuple[RankingEntry, ...]:
@@ -437,15 +426,13 @@ def run(
     pairs = rng.uniform_pairs(n_iterations, len(state.models))
     weights = [inertia_schedule(config, i) for i in range(n_iterations)]
 
-    tiled: dict[int, tuple[ModelSpec, ...]] = {}
     rows: list[ConvergenceRow] = []
     converged_at, k = 0, 1
     while (t := state.iteration) < n_iterations:
         k = min(k, n_iterations - t)
-        models = tiled.setdefault(k, state.models * k)
         previous_gbest = state.gbest_fitness
         state, improved = _window(
-            state, config, fitness, pairs[t : t + k], weights[t : t + k], models, failures, rows
+            state, config, fitness, pairs[t : t + k], weights[t : t + k], failures, rows
         )
         if state.gbest_fitness < previous_gbest:
             converged_at = state.iteration

@@ -50,10 +50,13 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 def sphere_fitness(models, positions, threshold=None):
+    """Sum of squares of the active coordinates, row by row of a (k, P, 5)
+    window."""
     values = []
-    for model, position in zip(models, positions):
-        x = position[: model.d]
-        values.append(float(np.sum(x * x)))
+    for iteration in positions:
+        for model, position in zip(models, iteration):
+            x = position[: model.d]
+            values.append(float(np.sum(x * x)))
     return np.array(values), {}
 
 
@@ -275,6 +278,33 @@ def test_criterion_07_model_selection_outcomes(preset1_runs, preset3_runs):
     )
 
 
+def test_criterion_07_m1_optimum_is_the_least_squares_scale(preset1_runs):
+    # Why clause a of criterion 7 fails. m1 scales every modulus by one E,
+    # so K scales by E and every frequency by sqrt(E): f(E) = s f(E0) with
+    # s = sqrt(E / E0). The SSE, and with it the AIC, is least at the
+    # least-squares scale s* = <f_measured, f(E0)> / |f(E0)|^2 (clamped to
+    # the search box, where the SSE is convex in s). No search can take m1
+    # below that AIC, and every preset 1 winner is below it.
+    evaluator, m1 = ModelEvaluator(), model_catalog()[0]
+    config = preset1_runs[0][0].swarm
+    e0 = 7.2e10
+    nominal = evaluator.spectrum(np.full(12, e0)).frequencies_hz[evaluator._ranks]
+    measured = evaluator.measured.frequencies_hz
+    scale = (measured @ nominal) / (nominal @ nominal)
+    best = np.zeros(5)
+    best[0] = np.clip(e0 * scale**2, config.m_min, config.m_max)
+    closed = evaluator.evaluate(m1, best, "AIC").value
+    grid = np.zeros((2001, 5))
+    grid[:, 0] = np.linspace(config.m_min, config.m_max, len(grid))
+    scanned = evaluator.evaluate_batch((m1,) * len(grid), grid, "AIC")[0].value.min()
+    assert config.m_min < best[0] < config.m_max
+    assert closed <= scanned < closed + 1e-5
+    for _, record, _ in preset1_runs:
+        (m1_entry,) = [entry for entry in record.ranking if entry.model_id == 1]
+        assert m1_entry.fitness >= closed
+        assert record.ranking[0].fitness < closed
+
+
 def test_criterion_08_convergence_before_budget(preset3_runs):
     converged = [record.converged_at for _, record, _ in preset3_runs]
     hits = sum(1 for c in converged if c < 500)
@@ -355,7 +385,8 @@ def test_criterion_10_invariants_on_all_traces(sphere_runs, preset1_runs, preset
         kind = swarm.objective_kind
 
         def fem_fitness(models, positions, threshold=None):
-            score, errors = evaluator.evaluate_batch(models, positions, kind)
+            # The replay steps: each call scores a window of one iteration.
+            score, errors = evaluator.evaluate_batch(models, positions[0], kind)
             return score.value, errors
 
         _assert_trace_invariants(swarm, record, fem_fitness)

@@ -418,6 +418,14 @@ class TestEvaluateBatch:
         with pytest.raises(ValueError, match="finite"):
             evaluator.evaluate_batch(catalog, bad, "AIC")
 
+    def test_rejects_a_window(self, evaluator, catalog):
+        # A batch is one iteration: the (k, P, 5) window of a fitness call
+        # is the screen's to take, not the batch's.
+        window = in_bound_positions(0, 2 * 8).reshape(2, 8, 5)
+        with pytest.raises(ValueError) as excinfo:
+            evaluator.evaluate_batch(catalog, window, "AIC")
+        assert str(excinfo.value) == "positions must have shape (8, 5)"
+
     def test_stack_failure_is_charged_to_its_row(self, evaluator, catalog, monkeypatch):
         positions = in_bound_positions(3)
         expected, _ = evaluator.evaluate_batch(catalog, positions, "AIC")
@@ -518,7 +526,8 @@ class TestEvaluateBatch:
 def objective_bound_skips(screen, moduli, threshold):
     """The skip decision of a screen by the objective's own formula, with
     the screen's bracket and margin: frequency brackets, the smallest
-    residuals they allow, then `aic` or `sse` of those. Returns the score
+    residuals they allow, then `aic` or `sse` of those. `moduli` are the P
+    rows of one iteration, with their (P,) thresholds. Returns the score
     bounds and the rows to skip."""
     low, high, slack = screen.bracket(moduli)
     measured = screen.evaluator.measured.frequencies_hz[:, None]
@@ -531,11 +540,16 @@ def objective_bound_skips(screen, moduli, threshold):
 
 
 def unscreened(evaluator, kind):
-    """The swarm's fitness without a screen: every row solved."""
+    """The swarm's fitness without a screen: every row solved, one
+    `evaluate_batch` per iteration of the window."""
 
     def fitness(models, positions, threshold):
-        score, errors = evaluator.evaluate_batch(models, positions, kind)
-        return score.value, errors
+        values, errors = [], {}
+        for i, iteration in enumerate(positions):
+            score, failed = evaluator.evaluate_batch(models, iteration, kind)
+            values.append(score.value)
+            errors.update({i * len(models) + r: error for r, error in failed.items()})
+        return np.concatenate(values), errors
 
     return fitness
 
@@ -551,13 +565,13 @@ class TestScreen:
         columns = np.concatenate([[6], evaluator._ranks])
         draws = in_bound_positions(100 + seed, 8 * 6).reshape(6, 8, 5)
         for positions in draws[:-1]:
-            screen(catalog, positions, np.full(8, math.nan))
+            screen(catalog, positions[None], np.full(8, math.nan))
         # The first batch fills every ring, then each particle adds its own.
         assert np.all(screen.pushes == 8 + 4)
         if spread is not None:
             noise = np.random.default_rng(seed).uniform(-1.0, 1.0, draws[0].shape)
             draws[-1] = draws[0] * (1.0 + spread * noise)
-        moduli = evaluator._class_moduli(draws[-1], evaluator._plan(tuple(catalog)))
+        moduli = evaluator._class_moduli(draws[-1:], evaluator._plan(tuple(catalog)))
         eigenvalues, errors = evaluator._eigenvalues(moduli)
         assert errors == {}
         low, high, slack = screen.bracket(moduli)
@@ -569,39 +583,41 @@ class TestScreen:
     def test_repeated_point_is_skipped_only_below_its_threshold(self, evaluator, catalog):
         screen = runner._Screen(evaluator, "SSE")
         positions = in_bound_positions(7)
-        first, _ = screen(catalog, positions, np.full(8, math.nan))
+        first, _ = screen(catalog, positions[None], np.full(8, math.nan))
         exact, _ = evaluator.evaluate_batch(catalog, positions, "SSE")
         assert np.array_equal(first, exact.value)
         threshold = exact.value - 1.0
         threshold[::2] = math.nan
-        again, _ = screen(catalog, positions, threshold)
+        again, _ = screen(catalog, positions[None], threshold)
         assert np.array_equal(again[::2], exact.value[::2])
         assert np.all(np.isinf(again[1::2]))
         # At its own score the row could tie, so it is solved.
-        again, _ = screen(catalog, positions, exact.value)
+        again, _ = screen(catalog, positions[None], exact.value)
         assert np.array_equal(again, exact.value)
 
     def test_first_call_with_thresholds_solves_every_row(self, evaluator, catalog):
         # Nothing is kept before the first solve, so nothing can be skipped.
         positions = in_bound_positions(9)
         exact, _ = evaluator.evaluate_batch(catalog, positions, "AIC")
-        values, errors = runner._Screen(evaluator, "AIC")(catalog, positions, exact.value - 1.0)
+        screen = runner._Screen(evaluator, "AIC")
+        values, errors = screen(catalog, positions[None], exact.value - 1.0)
         assert errors == {} and np.array_equal(values, exact.value)
 
     @pytest.mark.parametrize("preset", [1, 2, 3, 4])
     def test_skipped_rows_cannot_beat_their_threshold(self, evaluator, preset):
         config = dataclasses.replace(preset_config(preset, seed=preset).swarm, n_iterations=100)
         screen = runner._Screen(evaluator, config.objective_kind)
-        skipped = []
+        solved, skipped = unscreened(evaluator, config.objective_kind), []
 
         def checked(models, positions, threshold):
             values, errors = screen(models, positions, threshold)
-            exact, exact_errors = evaluator.evaluate_batch(models, positions, config.objective_kind)
+            exact, exact_errors = solved(models, positions, threshold)
             assert errors.keys() == exact_errors.keys()
             rows = np.isinf(values)
-            assert not np.any(rows & np.isnan(threshold))
-            assert np.all(exact.value[rows] >= threshold[rows])
-            assert np.array_equal(values[~rows], exact.value[~rows], equal_nan=True)
+            limit = np.tile(threshold, len(positions))  # each row's particle's
+            assert not np.any(rows & np.isnan(limit))
+            assert np.all(exact[rows] >= limit[rows])
+            assert np.array_equal(values[~rows], exact[~rows], equal_nan=True)
             skipped.append(rows.sum())
             return values, errors
 
@@ -632,18 +648,21 @@ class TestScreen:
             if np.isnan(threshold).all():  # the first batch: nothing kept yet
                 assert not skip.any()
                 return skip
-            bound, expected = objective_bound_skips(screen, moduli, threshold)
-            assert np.array_equal(skip, expected)
-            # Thresholds half a margin either side of where each bound
-            # stops skipping: the rows the bracket proves rigid skip below
-            # it, and no row skips above it.
-            proven = objective_bound_skips(screen, moduli, bound - 1.0)[1]
-            width = 1e-9 * np.maximum(1.0, np.abs(bound))
-            for shift, skips in ((1.5, proven), (0.5, np.zeros_like(proven))):
-                near = bound - shift * width
-                assert np.array_equal(real(moduli, near), skips)
-                assert np.array_equal(objective_bound_skips(screen, moduli, near)[1], skips)
-            decided.append((np.isfinite(bound).sum(), len(bound)))
+            # One iteration (P rows) at a time: the thresholds below are per row.
+            for i in range(0, len(moduli), 8):
+                rows = moduli[i : i + 8]
+                bound, expected = objective_bound_skips(screen, rows, threshold)
+                assert np.array_equal(skip[i : i + 8], expected)
+                # Thresholds half a margin either side of where each bound
+                # stops skipping: the rows the bracket proves rigid skip below
+                # it, and no row skips above it.
+                proven = objective_bound_skips(screen, rows, bound - 1.0)[1]
+                width = 1e-9 * np.maximum(1.0, np.abs(bound))
+                for shift, skips in ((1.5, proven), (0.5, np.zeros_like(proven))):
+                    near = bound - shift * width
+                    assert np.array_equal(real(rows, near), skips)
+                    assert np.array_equal(objective_bound_skips(screen, rows, near)[1], skips)
+                decided.append((np.isfinite(bound).sum(), len(bound)))
             return skip
 
         screen._cannot_improve = compared
@@ -658,7 +677,7 @@ class TestScreen:
         # residuals are 0 and the floored variance alone sets the score.
         screen = runner._Screen(evaluator, "AIC")
         models = (catalog[0],)
-        position = np.full((1, 5), 7.2e10)
+        position = np.full((1, 1, 5), 7.2e10)
         screen(models, position, np.full(1, math.nan))
         moduli = evaluator._class_moduli(position, screen.plan) * np.where(
             np.arange(9) % 2, 0.25, 4.0
@@ -679,7 +698,7 @@ class TestScreen:
         positions[4, 4] = value  # active for model 5
         messages = []
         for fitness in (
-            lambda p: runner._Screen(evaluator, "AIC")(catalog, p, np.full(8, math.nan)),
+            lambda p: runner._Screen(evaluator, "AIC")(catalog, p[None], np.full(8, math.nan)),
             lambda p: evaluator.evaluate_batch(catalog, p, "AIC"),
         ):
             with pytest.raises(ValueError) as excinfo:
@@ -692,31 +711,67 @@ class TestScreen:
         positions = in_bound_positions(2)
         positions[0, 1:] = math.nan  # model 1 uses dimension 1 alone
         screen = runner._Screen(evaluator, "SSE")
-        screened, errors = screen(catalog, positions, np.full(8, math.nan))
+        screened, errors = screen(catalog, positions[None], np.full(8, math.nan))
         exact, exact_errors = evaluator.evaluate_batch(catalog, positions, "SSE")
         assert errors == exact_errors == {}
         assert np.array_equal(screened, exact.value)
         # A later call, with thresholds, takes the same checks.
-        again, _ = screen(catalog, positions, exact.value + 1.0)
+        again, _ = screen(catalog, positions[None], exact.value + 1.0)
         assert np.all(np.isinf(again) | (again == exact.value))
 
     def test_window_rows_go_to_their_particles_rings_in_row_order(self, evaluator, catalog):
         screen = runner._Screen(evaluator, "SSE")
-        screen(catalog, in_bound_positions(0), np.full(8, math.nan))  # fills every ring
-        window = in_bound_positions(1, 3 * 8)  # three iterations of eight particles
-        screen(catalog * 3, window, np.full(3 * 8, math.nan))
+        screen(catalog, in_bound_positions(0)[None], np.full(8, math.nan))  # fills every ring
+        window = in_bound_positions(1, 3 * 8).reshape(3, 8, 5)  # three iterations
+        screen(catalog, window, np.full(8, math.nan))
         assert np.all(screen.pushes == 8 + 3)
         moduli = evaluator._class_moduli(window, screen.plan)
         for r in range(3 * 8):
             assert np.array_equal(screen.points[:9, r % 8, 8 + r // 8], moduli[r])
 
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (24, 5), (1, 1, 8, 5)])
+    def test_a_window_of_other_particles_is_rejected_by_its_shape(self, evaluator, catalog, shape):
+        screen = runner._Screen(evaluator, "AIC")
+        screen(catalog, in_bound_positions(0)[None], np.full(8, math.nan))
+        with pytest.raises(ValueError) as excinfo:
+            screen(catalog, np.full(shape, 7.0e10), np.full(8, 1.0))
+        assert str(excinfo.value) == f"positions must have shape (k, 8, 5), not {shape}"
+
+    def test_every_call_takes_the_window_protocol(self, evaluator, monkeypatch):
+        # Each call of a preset run gets the run's one particle tuple, a
+        # (k, 8, 5) window of k iterations and, as thresholds, the personal
+        # bests at the window's start: all nan in the initial scoring.
+        config = dataclasses.replace(preset_config(1, seed=0).swarm, n_iterations=200)
+        screen = runner._Screen(evaluator, config.objective_kind)
+        calls, bests = [], []
+        real_window = swarm._window
+
+        def window(state, *args):
+            bests.append(state.pbest_fitness)
+            return real_window(state, *args)
+
+        def recorded(models, positions, threshold):
+            calls.append((models, np.shape(positions), np.array(threshold)))
+            return screen(models, positions, threshold)
+
+        monkeypatch.setattr(swarm, "_window", window)
+        swarm.run(config, recorded)
+        (models, shape, threshold), *windows = calls
+        assert shape == (1, 8, 5) and np.isnan(threshold).all()
+        assert len(windows) == len(bests) and len(models) == 8
+        for (called, shape, threshold), pbest in zip(windows, bests):
+            assert called is models
+            assert len(shape) == 3 and 1 <= shape[0] <= swarm.WINDOW_MAX and shape[1:] == (8, 5)
+            assert np.array_equal(threshold, pbest)
+        assert max(shape[0] for _, shape, _ in windows) == swarm.WINDOW_MAX
+
     def test_a_window_is_bracketed_as_its_iterations(self, evaluator, catalog):
         screen = runner._Screen(evaluator, "AIC")
         for seed in range(3):
-            screen(catalog, in_bound_positions(seed), np.full(8, math.nan))
+            screen(catalog, in_bound_positions(seed)[None], np.full(8, math.nan))
         # More iterations than one block of the bracket takes.
-        window = in_bound_positions(3, 6 * 8)
-        screen(catalog * 6, window, np.full(6 * 8, math.nan))
+        window = in_bound_positions(3, 6 * 8).reshape(6, 8, 5)
+        screen(catalog, window, np.full(8, math.nan))
         moduli = evaluator._class_moduli(window, screen.plan)
         together = screen.bracket(moduli)
         for j in range(6):
@@ -742,7 +797,7 @@ class TestScreen:
         rows = []
 
         def counted(models, positions, threshold):
-            rows.append(len(models))
+            rows.append(positions.shape[0] * positions.shape[1])
             return screen(models, positions, threshold)
 
         record = swarm.run(config, counted)

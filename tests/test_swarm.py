@@ -30,20 +30,27 @@ def quad_value(model, position) -> float:
     return float(np.sum(((x - 6.5e10) / 1.0e10) ** 2))
 
 
+def window_rows(models, positions):
+    """(model, position) of each row of a (k, P, 5) window, in row order
+    i P + p; (P, 5) positions are a window of one."""
+    window = np.reshape(positions, (-1, len(models), 5))
+    return [(model, x) for iteration in window for model, x in zip(models, iteration)]
+
+
 def quad_fitness(models, positions, threshold=None):
-    return np.array([quad_value(m, x) for m, x in zip(models, positions)]), {}
+    return np.array([quad_value(m, x) for m, x in window_rows(models, positions)]), {}
 
 
 def constant_fitness(models, positions, threshold=None):
-    return np.ones(len(models)), {}
+    return np.ones(np.size(positions) // 5), {}
 
 
 def flaky_fitness(models, positions, threshold=None):
     """quad_fitness, except that model 3 always fails to solve."""
     values, _ = quad_fitness(models, positions)
     errors = {
-        i: ConvergenceError("synthetic blowup")
-        for i, m in enumerate(models)
+        r: ConvergenceError("synthetic blowup")
+        for r, (m, _) in enumerate(window_rows(models, positions))
         if m.model_id == 3
     }
     return values, errors
@@ -53,7 +60,7 @@ def noisy_fitness(models, positions, threshold=None):
     """Row by row: quad_value plus noise drawn from the bits of each
     position, and a ConvergenceError for about one row in 25."""
     values, errors = [], {}
-    for r, (model, x) in enumerate(zip(models, positions)):
+    for r, (model, x) in enumerate(window_rows(models, positions)):
         u = np.random.default_rng(x.view(np.uint64).tolist()).random()
         values.append(quad_value(model, x) + 10.0 * u)
         if u < 0.04:
@@ -719,18 +726,18 @@ class TestWindows:
     def test_window_ends_at_its_first_improvement(self, catalog, at):
         config, state, pairs, weights = self.setup_window(catalog)
         ahead = []  # where the particles go when no best changes
-        never = lambda models, positions, threshold: (np.asarray(threshold) + 1.0, {})
-        _window(state, config, never, pairs, weights, state.models * self.K, None, ahead)
+        never = lambda models, positions, threshold: (np.tile(threshold + 1.0, len(positions)), {})
+        _window(state, config, never, pairs, weights, None, ahead)
         assert len(ahead) == self.K
         # Particle 0 improves at window iteration `at`, particle 1 fails
         # there, and particle 2 fails one iteration later, which is dropped.
         def from_iteration(first):
             def fitness(models, positions, threshold):
-                values, errors = np.asarray(threshold) + 1.0, {}
-                for r in range(len(models)):
+                values, errors = np.tile(threshold + 1.0, len(positions)), {}
+                for r in range(len(values)):
                     row = (first + r // len(catalog), r % len(catalog))
                     if row == (at, 0):
-                        values[r] = threshold[r] - 1.0
+                        values[r] = threshold[0] - 1.0
                     if row in ((at, 1), (at + 1, 2)):
                         errors[r] = ConvergenceError("synthetic")
                 return values, errors
@@ -738,14 +745,13 @@ class TestWindows:
             return fitness
 
         windowed = ([], [])
-        after, improved = _window(
-            state, config, from_iteration(0), pairs, weights, state.models * self.K, *windowed
-        )
+        after, improved = _window(state, config, from_iteration(0), pairs, weights, *windowed)
         assert improved and after.iteration == at + 1
         stepped, one = ([], []), state
         for i in range(at + 1):
-            one, _ = _window(one, config, from_iteration(i), pairs[i : i + 1],
-                             weights[i : i + 1], state.models, *stepped)
+            one, _ = _window(
+                one, config, from_iteration(i), pairs[i : i + 1], weights[i : i + 1], *stepped
+            )
         assert windowed == stepped
         assert windowed[1] == ahead[:at] + [windowed[1][-1]]
         assert [(f.iteration, f.model_id) for f in windowed[0]] == [(at + 1, 2)]
