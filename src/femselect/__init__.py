@@ -38,12 +38,6 @@ from .modal import (
     solve_generalized_eigen,
 )
 from .objective import ObjectiveValue, aic, residuals, sse
-from .records import (
-    ConvergenceRow,
-    EvaluationFailure,
-    RankingEntry,
-    RunRecord,
-)
 from .runner import (
     ExperimentConfig,
     ModelEvaluator,
@@ -53,7 +47,14 @@ from .runner import (
     preset_config,
     run_experiment,
 )
-from .swarm import RngStream, SwarmConfig, SwarmState
+from .swarm import (
+    EvaluationFailure,
+    RankingEntry,
+    RngStream,
+    RunRecord,
+    SwarmConfig,
+    SwarmState,
+)
 
 __version__ = "0.1.0"
 
@@ -61,7 +62,6 @@ __all__ = [
     "BeamElement",
     "BeamGeometry",
     "ConvergenceError",
-    "ConvergenceRow",
     "CrossSection",
     "DecompositionError",
     "EigenSolveError",

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .modal import EigenSolveError
-from .records import RunRecord
 from .runner import (
     ConfigError,
     describe,
@@ -31,6 +30,7 @@ from .runner import (
     preset_config,
     run_experiment,
 )
+from .swarm import RunRecord
 
 
 def _build_parser() -> argparse.ArgumentParser:

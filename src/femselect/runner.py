@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -50,8 +49,7 @@ from .modal import (
     solve_generalized_eigen,
 )
 from .objective import SIGMA_SQ_FLOOR, ObjectiveKind, ObjectiveValue, aic, residuals, sse
-from .records import RunRecord
-from .swarm import SwarmConfig
+from .swarm import RunRecord, SwarmConfig
 from . import swarm as swarm_engine
 
 
@@ -591,13 +589,9 @@ _CSV_ROW = "%d,%.17g,%d," + ",".join(["%.17g"] * (_CSV_HEADER.count(",") - 2))
 def render_convergence_csv(record: RunRecord) -> str:
     """The trace, one row per iteration, of a record with the eight
     particles of the full catalog (ValueError otherwise)."""
-    if record.rows and (n := len(record.rows[0].positions)) != 8:
+    if (n := (record.rows.shape[1] - 4) // 6) != 8:
         raise ValueError(f"convergence.csv has columns for 8 particles; the record has {n}")
-    rows = (
-        _CSV_ROW % (row.iteration, row.w, row.gbest_model_id, row.gbest_fitness,
-                    *row.model_fitness, *itertools.chain.from_iterable(row.positions))
-        for row in record.rows
-    )
+    rows = (_CSV_ROW % tuple(row) for row in record.rows.tolist())
     return "\n".join([_CSV_HEADER, *rows]) + "\n"
 
 

@@ -14,7 +14,8 @@ are clamped each iteration, and the inertia weight either stays at 1
 (mode "none") or decays linearly over the first half of the run (mode
 "adaptive"). One order ranks the particles, `best_first`: the global
 best is the particle it puts first, and the final ranking lists all of
-them in it.
+them in it. A run returns a `RunRecord`: its trace is one table with a
+row per iteration, the columns of convergence.csv.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .beam_structure import SEARCH_DIMS, ModelSpec, model_catalog
 from .modal import EigenSolveError
 from .objective import ObjectiveKind
-from .records import ConvergenceRow, EvaluationFailure, RankingEntry, RunRecord
 
 InertiaMode = Literal["none", "adaptive"]
 
@@ -181,6 +181,47 @@ class SwarmState:
         return self.models[self.gbest].model_id
 
 
+@dataclass(frozen=True)
+class EvaluationFailure:
+    """One fitness evaluation that raised instead of returning a value."""
+
+    iteration: int
+    model_id: int
+    reason: str
+
+
+@dataclass(frozen=True)
+class RankingEntry:
+    model_id: int
+    d: int
+    fitness: float
+    position: tuple[float, ...]
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """Everything one optimization run produced.
+
+    `rows` is the trace, a read-only float64 table with one row per
+    iteration and 4 + 6P columns for P particles, in the order of
+    convergence.csv: the iteration (from 1), the inertia weight applied
+    during it, the global best's model id and fitness, the P personal-best
+    fitnesses (nan until a particle first scores), then the P current,
+    clamped 5-vector positions, particle by particle.
+
+    `converged_at` is the last iteration at which the global best improved
+    (0 if it never improved past its initial value); the run itself always
+    executes the full iteration budget.
+    """
+
+    config: SwarmConfig
+    rows: np.ndarray
+    ranking: tuple[RankingEntry, ...]
+    failures: tuple[EvaluationFailure, ...]
+    converged_at: int
+    initial_gbest_fitness: float
+
+
 def best_first(models: Sequence[ModelSpec], fitness: np.ndarray) -> np.ndarray:
     """Row indices ordered best first: lowest fitness (nan last), then
     fewer parameters, then lower model id."""
@@ -323,7 +364,7 @@ def _window(
     pairs: np.ndarray,
     weights: Sequence[float],
     failures: list[EvaluationFailure] | None = None,
-    rows: list[ConvergenceRow] | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[SwarmState, bool]:
     """Advance through a window of k iterations: their (k, P, 5, 2) random
     pairs and inertia weights.
@@ -332,10 +373,12 @@ def _window(
     their (k, P, 5) positions, and the window is kept through its first
     iteration in which a scored row beat its personal best, or whole; later
     rows are dropped unlogged. Personal bests update on strict improvement,
-    the global best derives from them (`best_first` breaks ties), a row
-    that raised an eigensolver error keeps its pbest and is logged, and
-    each kept iteration's snapshot goes to `rows`. Returns the new state
-    and whether a best improved.
+    the global best derives from them (`best_first` breaks ties), and a row
+    that raised an eigensolver error keeps its pbest and is logged.
+    `rows`, the window's (k, 4 + 6P) slice of the trace table (see
+    `RunRecord`), gets the bests and positions of the kept iterations; its
+    iteration and w columns are left as they are. Returns the new state and
+    whether a best improved.
     """
     n, k, t = len(state.models), len(weights), state.iteration
     pbest_position, pbest_fitness = state.pbest_position, state.pbest_fitness
@@ -370,14 +413,11 @@ def _window(
         models=state.models, position=positions[kept - 1], velocity=velocities[kept - 1],
         pbest_position=pbest_position, pbest_fitness=pbest_fitness, iteration=t + kept,
     )
-    for i, position in enumerate(positions[:kept].tolist() if rows is not None else ()):
-        bests = after if i == kept - 1 else state
-        rows.append(ConvergenceRow(
-            iteration=t + i + 1, w=weights[i],
-            gbest_model_id=bests.gbest_model_id, gbest_fitness=bests.gbest_fitness,
-            model_fitness=tuple(bests.pbest_fitness.tolist()),
-            positions=tuple(map(tuple, position)),
-        ))
+    if rows is not None:  # the bests change only in the last kept iteration
+        for bests, part in ((state, rows[: kept - 1]), (after, rows[kept - 1 : kept])):
+            part[:, 2], part[:, 3] = bests.gbest_model_id, bests.gbest_fitness
+            part[:, 4 : 4 + n] = bests.pbest_fitness
+        rows[:kept, 4 + n :] = positions[:kept].reshape(kept, -1)
     return after, bool(first.size)
 
 
@@ -426,21 +466,23 @@ def run(
     pairs = rng.uniform_pairs(n_iterations, len(state.models))
     weights = [inertia_schedule(config, i) for i in range(n_iterations)]
 
-    rows: list[ConvergenceRow] = []
+    rows = np.empty((n_iterations, 4 + 6 * len(state.models)))
+    rows[:, 0], rows[:, 1] = np.arange(1, n_iterations + 1), weights
     converged_at, k = 0, 1
     while (t := state.iteration) < n_iterations:
         k = min(k, n_iterations - t)
         previous_gbest = state.gbest_fitness
         state, improved = _window(
-            state, config, fitness, pairs[t : t + k], weights[t : t + k], failures, rows
+            state, config, fitness, pairs[t : t + k], weights[t : t + k], failures, rows[t : t + k]
         )
         if state.gbest_fitness < previous_gbest:
             converged_at = state.iteration
         k = max(k // 2, 1) if improved else min(2 * k, WINDOW_MAX)
 
+    rows.setflags(write=False)
     return RunRecord(
         config=config,
-        rows=tuple(rows),
+        rows=rows,
         ranking=_ranking(state),
         failures=tuple(failures),
         converged_at=converged_at,

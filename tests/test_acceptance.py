@@ -236,7 +236,7 @@ def test_criterion_06_sphere_reduction(sphere_runs):
     reductions = []
     slow = 0
     for _, record, elapsed in sphere_runs:
-        ratio = record.rows[-1].gbest_fitness / record.initial_gbest_fitness
+        ratio = record.rows[-1, 3] / record.initial_gbest_fitness
         reductions.append(ratio)
         if elapsed >= 1.0:
             slow += 1
@@ -253,7 +253,7 @@ def test_criterion_06_sphere_reduction(sphere_runs):
 
 
 def test_criterion_07_model_selection_outcomes(preset1_runs, preset3_runs):
-    p1_winners = [record.rows[-1].gbest_model_id for _, record, _ in preset1_runs]
+    p1_winners = [int(record.rows[-1, 2]) for _, record, _ in preset1_runs]
     p1_m1 = sum(1 for w in p1_winners if w == 1)
     p3_first = [record.ranking[0] for _, record, _ in preset3_runs]
     p3_low_d = sum(1 for entry in p3_first if entry.d <= 2)
@@ -331,24 +331,23 @@ def test_criterion_09_byte_identical_reruns(tmp_path):
 def _assert_trace_invariants(config, record, fitness):
     """Monotone gbest, position and velocity containment, and agreement
     between the stored trace and a fresh stepwise replay."""
-    values = [record.initial_gbest_fitness] + [r.gbest_fitness for r in record.rows]
+    values = [record.initial_gbest_fitness] + record.rows[:, 3].tolist()
     assert all(b <= a for a, b in zip(values, values[1:])), "gbest regressed"
 
-    for row in record.rows:
-        for position in row.positions:
-            assert all(config.m_min <= x <= config.m_max for x in position)
+    positions = record.rows[:, 12:]
+    assert np.all((config.m_min <= positions) & (positions <= config.m_max))
 
     rng = RngStream(config.seed)
     state = init_swarm(config, model_catalog(), rng, fitness)
     for row in record.rows:
         used_w = inertia_schedule(config, state.iteration)
         state = step(state, config, fitness, rng)
-        assert row.iteration == state.iteration
-        assert row.w == used_w
-        assert row.gbest_fitness == state.gbest_fitness
-        assert row.gbest_model_id == state.gbest_model_id
-        assert np.array_equal(row.model_fitness, state.pbest_fitness, equal_nan=True)
-        assert row.positions == tuple(map(tuple, state.position.tolist()))
+        assert row[0] == state.iteration
+        assert row[1] == used_w
+        assert row[3] == state.gbest_fitness
+        assert row[2] == state.gbest_model_id
+        assert np.array_equal(row[4:12], state.pbest_fitness, equal_nan=True)
+        assert np.array_equal(row[12:], state.position.ravel())
         magnitudes = np.abs(state.velocity)
         assert np.all(magnitudes >= config.v_min)
         assert np.all(magnitudes <= config.v_max)

@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import io
-import itertools
 import json
 import math
 import warnings
@@ -786,7 +785,8 @@ class TestScreen:
         windowed = swarm.run(config, runner._Screen(evaluator, config.objective_kind))
         monkeypatch.setattr(swarm, "WINDOW_MAX", 1)
         stepped = swarm.run(config, runner._Screen(evaluator, config.objective_kind))
-        assert windowed == stepped
+        assert np.array_equal(windowed.rows, stepped.rows)
+        assert dataclasses.replace(windowed, rows=None) == dataclasses.replace(stepped, rows=None)
         assert render_convergence_csv(windowed) == render_convergence_csv(stepped)
 
     def test_a_preset_run_makes_few_fitness_calls(self, evaluator):
@@ -816,10 +816,10 @@ class TestScreen:
         state = swarm.init_swarm(config.swarm, model_catalog(), rng, fitness)
         for row in record.rows:
             state = swarm.step(state, config.swarm, fitness, rng)
-            assert np.array_equal(row.model_fitness, state.pbest_fitness, equal_nan=True)
-            assert row.positions == tuple(map(tuple, state.position.tolist()))
-            assert row.gbest_model_id == state.gbest_model_id
-            assert row.gbest_fitness == state.gbest_fitness
+            assert np.array_equal(row[4:12], state.pbest_fitness, equal_nan=True)
+            assert np.array_equal(row[12:], state.position.ravel())
+            assert row[2] == state.gbest_model_id
+            assert row[3] == state.gbest_fitness
         assert [e.position for e in record.ranking] == [
             tuple(state.pbest_position[i]) for i in best_first(state.models, state.pbest_fitness)
         ]
@@ -963,12 +963,11 @@ class TestRunExperiment:
         config = tiny_config(tmp_path, n_iterations=3, seed=2)
         record = run_experiment(config)
         text = render_convergence_csv(record)
-        for row, line in zip(record.rows, text.strip().split("\n")[1:]):
+        for row, line in zip(record.rows.tolist(), text.strip().split("\n")[1:]):
             cells = line.split(",")
-            assert float(cells[1]) == row.w
-            assert float(cells[3]) == row.gbest_fitness
-            flat = [x for pos in row.positions for x in pos]
-            assert [float(c) for c in cells[12:]] == flat
+            assert float(cells[1]) == row[1]
+            assert float(cells[3]) == row[3]
+            assert [float(c) for c in cells[12:]] == row[12:]
 
 
 class TestCsvRowFormat:
@@ -987,10 +986,9 @@ class TestCsvRowFormat:
         )
         number = "{:.17g}".format
         lines = [runner._CSV_HEADER]
-        for row in record.rows:
-            numbers = (row.gbest_fitness, *row.model_fitness, *itertools.chain(*row.positions))
+        for iteration, w, gbest_model, *numbers in record.rows.tolist():
             lines.append(
-                f"{row.iteration},{number(row.w)},{row.gbest_model_id},"
+                f"{int(iteration)},{number(w)},{int(gbest_model)},"
                 + ",".join(map(number, numbers))
             )
         assert render_convergence_csv(record) == "\n".join(lines) + "\n"
@@ -1017,7 +1015,7 @@ class TestRanking:
         record = run_experiment(config)
         keys = [(e.fitness, e.d, e.model_id) for e in record.ranking]
         assert keys == sorted(keys)
-        assert record.rows[-1].gbest_model_id == record.ranking[0].model_id
+        assert record.rows[-1, 2] == record.ranking[0].model_id
 
 
 class TestDescribe:

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from femselect import swarm
 from femselect.beam_structure import model_catalog
 from femselect.modal import ConvergenceError
-from femselect.runner import render_convergence_csv
+from femselect.runner import preset_config, render_convergence_csv, run_experiment
 from femselect.swarm import (
     RngStream,
     SwarmConfig,
@@ -565,9 +566,8 @@ class TestRun:
         config = SwarmConfig(n_iterations=12, seed=21, objective_kind="SSE")
         a = run(config, quad_fitness)
         b = run(config, quad_fitness)
-        assert len(a.rows) == 12
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra == rb
+        assert a.rows.shape == (12, 4 + 6 * 8)
+        assert np.array_equal(a.rows, b.rows)
         assert a.ranking == b.ranking
         assert a.converged_at == b.converged_at
 
@@ -629,36 +629,33 @@ class TestRun:
                 gbest_pos, gbest_fit = pbest_pos[g].copy(), pbest_fit[g]
 
             row = record.rows[it - 1]
-            assert row.iteration == it
-            assert row.w == w
-            for stored, replayed in zip(row.positions, positions):
-                assert stored == tuple(float(x) for x in replayed)
-            assert row.gbest_fitness == gbest_fit
+            assert row[0] == it
+            assert row[1] == w
+            assert np.array_equal(row[12:].reshape(8, 5), positions)
+            assert row[3] == gbest_fit
 
     def test_trace_shape_and_monotone_gbest(self):
         config = SwarmConfig(n_iterations=20, seed=2, objective_kind="SSE")
         record = run(config, quad_fitness)
-        assert [row.iteration for row in record.rows] == list(range(1, 21))
-        values = [record.initial_gbest_fitness] + [
-            row.gbest_fitness for row in record.rows
-        ]
+        assert record.rows[:, 0].tolist() == list(range(1, 21))
+        values = [record.initial_gbest_fitness] + record.rows[:, 3].tolist()
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_w_column_follows_schedule(self):
         config = SwarmConfig(n_iterations=10, seed=0, objective_kind="SSE")
         record = run(config, quad_fitness)
-        for idx, row in enumerate(record.rows):
-            assert row.w == inertia_schedule(config, idx)
+        for idx, w in enumerate(record.rows[:, 1]):
+            assert w == inertia_schedule(config, idx)
 
     def test_converged_at_is_last_improvement(self):
         config = SwarmConfig(n_iterations=30, seed=9, objective_kind="SSE")
         record = run(config, quad_fitness)
         last = 0
         previous = record.initial_gbest_fitness
-        for row in record.rows:
-            if row.gbest_fitness < previous:
-                last = row.iteration
-            previous = row.gbest_fitness
+        for iteration, _, _, gbest_fitness in record.rows[:, :4].tolist():
+            if gbest_fitness < previous:
+                last = iteration
+            previous = gbest_fitness
         assert record.converged_at == last
 
     def test_never_improving_run_reports_zero(self):
@@ -680,14 +677,14 @@ class TestRun:
         record = run(config, flaky_fitness)
         assert record.ranking[-1].model_id == 3
         assert math.isnan(record.ranking[-1].fitness)
-        assert all(math.isnan(row.model_fitness[2]) for row in record.rows)
+        assert np.isnan(record.rows[:, 4 + 2]).all()  # model 3's personal best
         assert len(record.failures) == 5  # init plus four iterations
 
     def test_smaller_catalog_runs_one_row_per_model(self, catalog):
         config = SwarmConfig(n_iterations=2, objective_kind="SSE")
         record = run(config, quad_fitness, catalog=catalog[:4])
         assert sorted(entry.model_id for entry in record.ranking) == [1, 2, 3, 4]
-        assert all(len(row.positions) == 4 for row in record.rows)
+        assert record.rows.shape == (2, 4 + 6 * 4)
 
     def test_invalid_config_rejected_before_work(self):
         with pytest.raises(ValueError):
@@ -725,10 +722,12 @@ class TestWindows:
     @pytest.mark.parametrize("at", [0, 3, 7])  # first, middle and last iteration
     def test_window_ends_at_its_first_improvement(self, catalog, at):
         config, state, pairs, weights = self.setup_window(catalog)
-        ahead = []  # where the particles go when no best changes
+        # Tables of nan: a cell `_window` leaves alone stays nan.
+        table = lambda k: np.full((k, 4 + 6 * len(catalog)), np.nan)
+        ahead = table(self.K)  # where the particles go when no best changes
         never = lambda models, positions, threshold: (np.tile(threshold + 1.0, len(positions)), {})
         _window(state, config, never, pairs, weights, None, ahead)
-        assert len(ahead) == self.K
+        assert not np.isnan(ahead[:, 2:]).any()
         # Particle 0 improves at window iteration `at`, particle 1 fails
         # there, and particle 2 fails one iteration later, which is dropped.
         def from_iteration(first):
@@ -744,16 +743,20 @@ class TestWindows:
 
             return fitness
 
-        windowed = ([], [])
+        windowed = ([], table(self.K))
         after, improved = _window(state, config, from_iteration(0), pairs, weights, *windowed)
         assert improved and after.iteration == at + 1
-        stepped, one = ([], []), state
+        stepped, one = ([], table(at + 1)), state
         for i in range(at + 1):
             one, _ = _window(
-                one, config, from_iteration(i), pairs[i : i + 1], weights[i : i + 1], *stepped
+                one, config, from_iteration(i), pairs[i : i + 1], weights[i : i + 1],
+                stepped[0], stepped[1][i : i + 1],
             )
-        assert windowed == stepped
-        assert windowed[1] == ahead[:at] + [windowed[1][-1]]
+        assert windowed[0] == stepped[0]
+        assert np.array_equal(windowed[1][: at + 1], stepped[1], equal_nan=True)
+        assert np.array_equal(windowed[1][:at], ahead[:at], equal_nan=True)
+        # The iteration and w columns, and the dropped rows, are left alone.
+        assert np.isnan(windowed[1][:, :2]).all() and np.isnan(windowed[1][at + 1 :]).all()
         assert [(f.iteration, f.model_id) for f in windowed[0]] == [(at + 1, 2)]
         assert after.pbest_fitness[0] == state.pbest_fitness[0] - 1.0
         for name in ("position", "velocity", "pbest_position", "pbest_fitness"):
@@ -788,6 +791,32 @@ class TestWindows:
         ends = {kept if kept < k else "last" for k, kept, improved in windows if improved and k > 2}
         assert {1, "last"} <= ends and ends - {1, "last"}
         assert sum(returned) > len(windowed.failures)
+
+
+class TestTraceTable:
+    """`RunRecord.rows` is convergence.csv as numbers: a read-only
+    (N, 4 + 6P) table that the rendered file parses back to."""
+
+    def test_rows_are_read_only(self):
+        record = run(SwarmConfig(n_iterations=3, objective_kind="SSE"), quad_fitness)
+        with pytest.raises(ValueError):
+            record.rows[0, 3] = 0.0
+
+    def test_four_models_give_28_columns(self, catalog):
+        config = SwarmConfig(n_iterations=7, objective_kind="SSE")
+        assert run(config, quad_fitness, catalog=catalog[:4]).rows.shape == (7, 28)
+
+    def test_csv_parses_back_to_the_table_with_nan_bests(self):
+        record = run(SwarmConfig(n_iterations=50, seed=4, objective_kind="SSE"), flaky_fitness)
+        assert np.isnan(record.rows[:, 4 + 2]).all()
+        parsed = np.loadtxt(io.StringIO(render_convergence_csv(record)), delimiter=",", skiprows=1)
+        assert np.array_equal(parsed, record.rows, equal_nan=True)
+
+    def test_preset_csv_file_parses_back_to_the_table(self, tmp_path):
+        record = run_experiment(preset_config(1, seed=0, output_dir=tmp_path))
+        parsed = np.loadtxt(tmp_path / "convergence.csv", delimiter=",", skiprows=1)
+        assert parsed.shape == (500, 52)
+        assert np.array_equal(parsed, record.rows, equal_nan=True)
 
 
 class TestSwarmState:
