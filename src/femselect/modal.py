@@ -2,18 +2,19 @@
 
 Two paths solve K phi = lambda M phi. The dense path (LAPACK via scipy)
 factors the full M, verifies the residual contract on the returned pairs,
-and is the reference for frequencies and mode shapes. The planar path
-serves fitness evaluations and uses numpy alone: a frame lying in the
-z = 0 plane decouples exactly into in-plane (ux, uy, rz) and out-of-plane
-(uz, rx, ry) DOFs, so each half is pre-whitened once by the inverse
-square root of its own mass block. A frame that is also symmetric about
-y = 0, with mirror partners sharing one modulus, splits each whitened
-half once more into the DOF combinations the mirror keeps and those it
-negates, so every candidate costs four standard symmetric eigenvalue
-solves of about a quarter of the size. scipy is imported only inside the
-dense functions, so a run that asks for no mode shapes never loads it.
-Rigid-body modes are detected by a scale-free eigenvalue ratio against
-the seventh-smallest eigenvalue.
+and is the reference for the tests and the benchmark's output checks; no
+run calls it. The planar path serves fitness, `describe` and mode shapes
+and uses numpy alone: a frame lying in the z = 0 plane decouples exactly
+into in-plane (ux, uy, rz) and out-of-plane (uz, rx, ry) DOFs, so each
+half is pre-whitened once by the inverse square root of its own mass
+block. A frame that is also symmetric about y = 0, with mirror partners
+sharing one modulus, splits each whitened half once more into the DOF
+combinations the mirror keeps and those it negates, so every candidate
+costs four standard symmetric eigenvalue solves of about a quarter of the
+size. A block eigenvector maps back to a mode shape through its plane's
+mass root and mirror basis. scipy is imported only inside the dense
+functions, so no run loads it. Rigid-body modes are detected by a
+scale-free eigenvalue ratio against the seventh-smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -159,14 +160,16 @@ def planar_dof_split(n_dofs: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(in_plane), np.flatnonzero(~in_plane)
 
 
-def planar_standard_form(k_stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+def planar_standard_form(k_stack: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whiten a stack of (E, n, n) stiffnesses of a frame in z = 0.
 
     Each half b of the DOF split gets R_b = M_bb^(-1/2), the symmetric
     inverse root from one `np.linalg.eigh` of the mass block, and every
-    stiffness becomes the symmetrized R_b K_bb R_b; the result has shape
-    (E, 2, n/2, n/2) with the in-plane block first, and the eigenvalues
-    of a stiffness's two blocks are those of (K, M). A mass block that is
+    stiffness becomes the symmetrized R_b K_bb R_b. Returns the whitened
+    stack (E, 2, n/2, n/2), in-plane block first, and the roots
+    (2, n/2, n/2) in the same order. The eigenvalues of a stiffness's two
+    blocks are those of (K, M), and R_b u for a block eigenvector u is an
+    M-normalized eigenvector of the pair. A mass block that is
     not positive definite raises DecompositionError. Any non-zero
     coupling entry between the halves, in K or in M, raises
     StructureError: the split is exact or not used.
@@ -181,6 +184,7 @@ def planar_standard_form(k_stack: np.ndarray, m: np.ndarray) -> np.ndarray:
     if np.any(k_stack[(slice(None), *coupling)] != 0.0) or np.any(m[coupling] != 0.0):
         raise StructureError("in-plane and out-of-plane DOFs are coupled")
     whitened = np.empty((k_stack.shape[0], 2, in_plane.size, in_plane.size))
+    roots = np.empty((2, in_plane.size, in_plane.size))
     for j, b in enumerate(blocks):
         d, q = np.linalg.eigh(m[np.ix_(b, b)])
         # Roundoff leaves a singular block a smallest eigenvalue of either
@@ -191,10 +195,10 @@ def planar_standard_form(k_stack: np.ndarray, m: np.ndarray) -> np.ndarray:
                 "mass matrix is not positive definite: eigenvalues of a planar "
                 f"block span [{d[0]:.3e}, {d[-1]:.3e}]"
             )
-        root = (q / np.sqrt(d)) @ q.T
-        w = root @ k_stack[:, b[:, None], b] @ root
+        roots[j] = (q / np.sqrt(d)) @ q.T
+        w = roots[j] @ k_stack[:, b[:, None], b] @ roots[j]
         whitened[:, j] = 0.5 * (w + w.transpose(0, 2, 1))
-    return whitened
+    return whitened, roots
 
 
 def mirror_partners(geometry: BeamGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -287,6 +291,73 @@ def mirror_standard_form(
         antisymmetric.append(t[:, n_sym:, n_sym:])
     (in_sym, out_sym), (in_anti, out_anti) = symmetric, antisymmetric
     return np.stack([in_sym, out_anti], axis=1), np.stack([in_anti, out_sym], axis=1)
+
+
+def mirror_mode_maps(roots: np.ndarray, node_partner: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Maps from the block eigenvectors of `mirror_standard_form` to mode
+    shapes over all n DOFs, one (n, k) map per block in the blocks' flat
+    order: in-plane symmetric, out-of-plane antisymmetric, in-plane
+    antisymmetric, out-of-plane symmetric. The map of a block is R_b B,
+    R_b the mass root of its plane from `planar_standard_form` and B the
+    orthonormal mirror columns of the block, scattered into the rows of
+    its plane; the rows of the other plane are exactly 0."""
+    n = 2 * roots.shape[-1]
+    planes = zip((_IN_PLANE_DOFS, _OUT_OF_PLANE_DOFS), planar_dof_split(n))
+    symmetric, antisymmetric = [], []
+    for j, (dofs, rows) in enumerate(planes):
+        basis, pairs, n_sym = _mirror_basis(node_partner, _MIRROR_SIGNS[list(dofs)])
+        columns = np.zeros((n, basis.shape[1]))
+        columns[rows] = roots[j] @ (basis * np.sqrt(0.5) ** pairs)
+        symmetric.append(columns[:, :n_sym])
+        antisymmetric.append(columns[:, n_sym:])
+    (in_sym, out_sym), (in_anti, out_anti) = symmetric, antisymmetric
+    return in_sym, out_anti, in_anti, out_sym
+
+
+def mirror_eigenpairs(
+    class_blocks: tuple[np.ndarray, ...], class_moduli: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Eigenpairs of K = sum_c E_c W_c from the class stacks (C, 2, k, k)
+    of `mirror_standard_form` and the (C,) class moduli E, each block
+    solved by `np.linalg.eigh`. Returns the merged ascending eigenvalues
+    (n,), as `generalized_eigenvalues` orders them, the flat index of each
+    one's block (the order of `mirror_mode_maps`) and its unit block
+    eigenvector.
+
+    The blocks are summed at E / max|E| and the eigenvalues scaled back,
+    so the solve sees one input at E and at any s E whose ratios round
+    alike (equal moduli always do), and its vectors do not depend on the
+    scale of the moduli. Summed at E, the sums, and LAPACK's rescaling of
+    a block far from unit norm, would round differently at each scale."""
+    scale = np.abs(class_moduli).max() or 1.0
+    try:
+        solved = [
+            np.linalg.eigh(np.tensordot(class_moduli / scale, blocks, axes=1))
+            for blocks in class_blocks
+        ]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"planar symmetric solver did not converge: {exc}") from exc
+    values = np.concatenate([w.ravel() for w, _ in solved]) * scale
+    vectors = [u for _, v in solved for block in v for u in block.T]
+    sizes = [len(block) for _, v in solved for block in v]
+    block_of = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.argsort(values, kind="stable")
+    return values[order], block_of[order], [vectors[i] for i in order]
+
+
+def rigid_body_modes(nodes: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The six rigid-body fields of a frame with nodes (N, 3), as rows
+    (6, 6 N): unit translations along x, y and z, then unit rotations
+    about the x, y and z axes through the origin, M-orthonormalized in
+    that order by the Cholesky factor L of their M-Gram matrix (rows
+    L^-1 Phi^T, a Gram-Schmidt that keeps the order)."""
+    fields = np.zeros((6, len(nodes), DOF_PER_NODE))
+    for axis, theta in enumerate(np.eye(3)):
+        fields[axis, :, axis] = 1.0
+        fields[3 + axis, :, :3] = np.cross(theta, nodes)
+        fields[3 + axis, :, 3 + axis] = 1.0
+    fields = fields.reshape(6, -1)
+    return np.linalg.solve(np.linalg.cholesky(fields @ m @ fields.T), fields)
 
 
 def generalized_eigenvalues(blocks: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:

@@ -34,6 +34,9 @@ from .beam_structure import (
 # name, so it stays importable from this module.
 from .fem import assemble  # noqa: F401
 from .fem import beam_element_matrices, element_dof_indices, transform_to_global
+# `solve_generalized_eigen` is not called here either (mode shapes come from
+# the mirror blocks); the tracer patches it by this name too.
+from .modal import solve_generalized_eigen  # noqa: F401
 from .modal import (
     RIGID_BODY_RATIO,
     ConvergenceError,
@@ -43,10 +46,12 @@ from .modal import (
     free_free_result,
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
+    mirror_eigenpairs,
+    mirror_mode_maps,
     mirror_partners,
     mirror_standard_form,
     planar_standard_form,
-    solve_generalized_eigen,
+    rigid_body_modes,
 )
 from .objective import SIGMA_SQ_FLOOR, ObjectiveKind, ObjectiveValue, aic, residuals, sse
 from .swarm import RunRecord, SwarmConfig
@@ -217,7 +222,10 @@ class ModelEvaluator:
     partners are summed and each half is split by the mirror
     (`mirror_standard_form`). A candidate's spectrum is then two weighted
     sums of those class stacks and four standard eigenvalue solves of 16
-    or 23 DOFs. A batch of candidates shares one eigenvalue call.
+    or 23 DOFs. A batch of candidates shares one eigenvalue call. Mode
+    shapes come from the same blocks (`eigenpairs`): each block
+    eigenvector maps back to the 78 DOFs through its plane's mass root
+    and mirror basis (`mirror_mode_maps`).
 
     Every build yields the same arrays, so a process builds one through
     `_default_evaluator()` and every run, score and description shares
@@ -261,20 +269,25 @@ class ModelEvaluator:
         self._mirror_pairs = np.column_stack([elements, element_partner])[
             elements < element_partner
         ]
-        whitened = planar_standard_form(stack, m_global)
+        whitened, roots = planar_standard_form(stack, m_global)
         summed = whitened[self._classes]
         for a, b in self._mirror_pairs:
             summed[self._classes == a] += whitened[b]
         self._mirror_blocks = mirror_standard_form(summed, node_partner)
+        self._mode_maps = mirror_mode_maps(roots, node_partner)
+        self.rigid_modes = rigid_body_modes(geometry.nodes, m_global)
         self._ranks = np.asarray(self.measured.mode_indices) - 1
         self._plan = functools.lru_cache(maxsize=32)(self._derive_plan)
         # One evaluator serves every run of the process.
         for arr in (self._unit_stiffness, self.m_global, self._classes, self._mirror_pairs,
-                    *self._mirror_blocks, self._ranks):
+                    *self._mirror_blocks, *self._mode_maps, self.rigid_modes, self._ranks):
             arr.setflags(write=False)
 
+    # No run calls `stiffness`: the benchmark tracer patches it by this name,
+    # and tests compare the dense reference at its K.
     def stiffness(self, moduli: np.ndarray) -> np.ndarray:
-        """Full global K, for the dense reference and mode shapes."""
+        """Full global K at these element moduli, a weighted sum of the unit
+        stiffnesses, for the dense reference."""
         return np.tensordot(moduli, self._unit_stiffness, axes=1)
 
     def _require_mirror(self, per_element: np.ndarray) -> None:
@@ -324,17 +337,30 @@ class ModelEvaluator:
                 errors[i] = exc
         return eigenvalues, errors
 
-    def spectrum(self, moduli: np.ndarray) -> ModalResult:
-        """Free-free frequencies at these element moduli by the planar
-        solve; StructureError unless six rigid-body modes appear."""
+    def _mirror_classes(self, moduli: np.ndarray) -> np.ndarray:
+        """(1, 9) mirror-class moduli of 12 element moduli; ValueError
+        unless they are finite and agree on every mirror pair."""
         moduli = np.asarray(moduli, dtype=float)[None]
         if not np.all(np.isfinite(moduli)):
             raise ValueError("element moduli must be finite")
         self._require_mirror(moduli)
-        eigenvalues, errors = self._eigenvalues(moduli[:, self._classes])
+        return moduli[:, self._classes]
+
+    def spectrum(self, moduli: np.ndarray) -> ModalResult:
+        """Free-free frequencies at these element moduli by the planar
+        solve; StructureError unless six rigid-body modes appear."""
+        eigenvalues, errors = self._eigenvalues(self._mirror_classes(moduli))
         if errors:
             raise errors[0]
         return free_free_result(eigenvalues[0])
+
+    def eigenpairs(self, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """`mirror_eigenpairs` at these element moduli: the ascending
+        eigenvalues, each one's block and its block eigenvector, which
+        `_mode_maps[block] @ vector` makes an M-normalized mode shape.
+        ValueError unless the moduli are finite and agree on every mirror
+        pair."""
+        return mirror_eigenpairs(self._mirror_blocks, self._mirror_classes(moduli)[0])
 
     def evaluate_batch(
         self,
@@ -591,7 +617,13 @@ def render_convergence_csv(record: RunRecord) -> str:
     particles of the full catalog (ValueError otherwise)."""
     if (n := (record.rows.shape[1] - 4) // 6) != 8:
         raise ValueError(f"convergence.csv has columns for 8 particles; the record has {n}")
-    rows = (_CSV_ROW % tuple(row) for row in record.rows.tolist())
+    # 64 rows of Python floats at a time, not the whole table at once.
+    table = record.rows
+    rows = (
+        _CSV_ROW % tuple(row)
+        for start in range(0, len(table), 64)
+        for row in table[start : start + 64].tolist()
+    )
     return "\n".join([_CSV_HEADER, *rows]) + "\n"
 
 
@@ -661,20 +693,28 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_mode_shapes(path: Path, evaluator: ModelEvaluator, record: RunRecord) -> None:
-    """Eigenvectors of the winning model at its best position, first 13
-    modes, one mode per row."""
+    """The first 13 M-orthonormal mode shapes of the winning model at its
+    best position, one per row. Rows 1-6 are the evaluator's
+    `rigid_modes` at 0 Hz; rows 7-13 are the elastic pairs 7-13 of the
+    mirror blocks, each signed so that its largest |component| (the first
+    one on a tie) is positive. StructureError unless the spectrum shows
+    six rigid-body modes."""
     best = record.ranking[0]
     model = next(m for m in model_catalog() if m.model_id == best.model_id)
     moduli = element_modulus_vector(model, np.asarray(best.position))
-    k = evaluator.stiffness(moduli)
-    eigenvalues, eigenvectors = solve_generalized_eigen(k, evaluator.m_global)
-    frequencies = frequencies_from_eigenvalues(eigenvalues[:13]).tolist()
-    header = "mode,frequency_hz," + ",".join(f"phi_{i}" for i in range(1, len(eigenvalues) + 1))
-    rows = (
-        f"{mode},{_format_number(f)}," + ",".join(map(_format_number, phi))
-        for mode, (f, phi) in enumerate(zip(frequencies, eigenvectors.T[:13].tolist()), 1)
-    )
-    _write_atomic(path, "\n".join([header, *rows]) + "\n")
+    eigenvalues, blocks, vectors = evaluator.eigenpairs(moduli)
+    free_free_result(eigenvalues)  # StructureError unless six rigid-body modes
+    elastic = np.stack([evaluator._mode_maps[b] @ v for b, v in zip(blocks[6:13], vectors[6:13])])
+    largest = elastic[np.arange(len(elastic)), np.abs(elastic).argmax(axis=1)]
+    elastic[largest < 0.0] *= -1.0
+    frequencies = np.concatenate([np.zeros(6), frequencies_from_eigenvalues(eigenvalues[6:13])])
+    shapes = np.vstack([evaluator.rigid_modes, elastic])
+    # Adding 0.0 turns every -0 cell into 0.
+    table = np.column_stack([np.arange(1, 14), frequencies, shapes]) + 0.0
+    n = shapes.shape[1]
+    header = "mode,frequency_hz," + ",".join(f"phi_{i}" for i in range(1, n + 1))
+    row = "%d," + ",".join(["%.17g"] * (n + 1))  # as _CSV_ROW
+    _write_atomic(path, "\n".join([header, *(row % tuple(r) for r in table.tolist())]) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:

@@ -6,7 +6,8 @@ driver writes config files and command lines for the CLI. A rename or a
 deleted config key there would make the benchmark read zero for a layer
 or fail to run, so these tests pin the names, the evaluate signature,
 the configs and the command lines. They also pin that the set-up the
-benchmark times, and every run without mode shapes, loads no scipy.
+benchmark times, and every run with or without mode shapes, loads no
+scipy.
 """
 
 import contextlib
@@ -229,7 +230,8 @@ def test_setup_code_loads_no_scipy(bench):
     assert loaded == "False"
 
 
-def test_only_mode_shapes_load_scipy(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
+    # Mode shapes come from the mirror blocks, by numpy alone, as fitness does.
     configs = []
     for shapes in (False, True):
         config = tmp_path / f"shapes{int(shapes)}.json"
@@ -249,6 +251,6 @@ for config in sys.argv[2:]:
         code = main(["run", "--config", config])
     print(code, {SCIPY_LOADED})
 """
-    assert _python(code, str(SRC), *configs) == ["0", "False", "0", "True"]
+    assert _python(code, str(SRC), *configs) == ["0", "False", "0", "False"]
     assert not (tmp_path / "shapes0" / "mode_shapes.csv").exists()
     assert (tmp_path / "shapes1" / "mode_shapes.csv").stat().st_size > 0

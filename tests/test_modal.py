@@ -107,7 +107,7 @@ class TestSolver:
 
     def test_fast_path_matches_full_solve(self, h_system):
         full, _ = solve_generalized_eigen(h_system.k_global, h_system.m_global)
-        blocks = planar_standard_form(h_system.k_global[None], h_system.m_global)[0]
+        blocks = planar_standard_form(h_system.k_global[None], h_system.m_global)[0][0]
         fast = generalized_eigenvalues(blocks)
         # elastic eigenvalues agree tightly; the rigid cluster is roundoff
         # noise in both drivers, so only its magnitude is checked
@@ -161,7 +161,7 @@ class TestPlanarSplit:
             assert np.all(matrix[np.ix_(in_plane, out_of_plane)] == 0.0)
 
     def test_each_half_keeps_three_rigid_modes(self, h_system):
-        blocks = planar_standard_form(h_system.k_global[None], h_system.m_global)[0]
+        blocks = planar_standard_form(h_system.k_global[None], h_system.m_global)[0][0]
         spectrum = generalized_eigenvalues(blocks)
         threshold = RIGID_BODY_RATIO * spectrum[6]
         for block in blocks:
@@ -250,7 +250,7 @@ class TestPlanarSplit:
             w = scipy.linalg.solve_triangular(l_factor, half.T, lower=True)
             reference.extend(np.linalg.eigvalsh(0.5 * (w + w.T)))
         reference = np.sort(reference)
-        blocks = planar_standard_form(k[None], m)[0]
+        blocks = planar_standard_form(k[None], m)[0][0]
         ranks = slice(6, 13)
         np.testing.assert_allclose(
             generalized_eigenvalues(blocks)[ranks],
@@ -271,7 +271,7 @@ class TestPlanarSplit:
         ranks = slice(6, 13)
         for position in positions:
             moduli = element_modulus_vector(model, position)
-            blocks = planar_standard_form(evaluator.stiffness(moduli)[None], evaluator.m_global)
+            blocks, _ = planar_standard_form(evaluator.stiffness(moduli)[None], evaluator.m_global)
             reference = generalized_eigenvalues(blocks[0])
             mirror = (2.0 * np.pi * evaluator.spectrum(moduli).frequencies_hz) ** 2
             np.testing.assert_allclose(
@@ -292,6 +292,44 @@ class TestPlanarSplit:
             counts.append([int(np.sum(np.linalg.eigvalsh(b) < threshold)) for b in summed])
         assert [b.shape[-1] for b in evaluator._mirror_blocks] == [16, 23]
         assert counts == [[1, 1], [2, 2]]
+
+    @pytest.mark.parametrize("model_index", range(8))
+    def test_eigenpairs_solve_their_blocks(self, evaluator, catalog, model_index):
+        # Each eigenvalue's block and vector solve that block, and ranks 7-13
+        # are the fitness path's within their error of eps * ||W||.
+        for seed in (None, 0, 1):
+            position = (
+                np.full(5, 7.2e10)
+                if seed is None
+                else np.random.default_rng(seed).uniform(5.5e10, 7.5e10, 5)
+            )
+            moduli = element_modulus_vector(catalog[model_index], position)
+            eigenvalues, blocks, vectors = evaluator.eigenpairs(moduli)
+            class_moduli = moduli[evaluator._classes]
+            summed = [
+                block
+                for stack in evaluator._mirror_blocks
+                for block in np.tensordot(class_moduli, stack, axes=1)
+            ]
+            assert np.all(np.diff(eigenvalues) >= 0.0)
+            assert np.bincount(blocks).tolist() == [len(w) for w in summed]
+            for lam, b, v in zip(eigenvalues, blocks, vectors):
+                assert np.linalg.norm(summed[b] @ v - lam * v) <= 1e-13 * eigenvalues[-1]
+            fitness = (2.0 * np.pi * evaluator.spectrum(moduli).frequencies_hz) ** 2
+            np.testing.assert_allclose(
+                eigenvalues[6:13],
+                fitness[6:13],
+                rtol=0.0,
+                atol=2.0 * np.finfo(float).eps * eigenvalues[-1],
+            )
+
+    def test_eigenpairs_report_a_failed_solve_as_convergence_error(self, evaluator, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            evaluator.eigenpairs(np.full(12, 7.2e10))
 
     def test_spectrum_rejects_moduli_that_break_the_mirror(self, evaluator):
         moduli = np.full(12, 7.2e10)

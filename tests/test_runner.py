@@ -5,13 +5,14 @@ import json
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NOMINAL_AIC, NOMINAL_SIGMA_SQUARED, NOMINAL_SSE
+from conftest import NOMINAL_AIC, NOMINAL_SIGMA_SQUARED, NOMINAL_SSE, rigid_body_basis
 from femselect import runner
 from femselect.beam_structure import ModelSpec, element_modulus_vector, model_catalog
 from femselect.cli import main
@@ -22,6 +23,8 @@ from femselect.modal import (
     free_free_frequencies,
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
+    planar_dof_split,
+    solve_generalized_eigen,
 )
 from femselect.objective import aic, residuals, sse
 from femselect.runner import (
@@ -970,6 +973,116 @@ class TestRunExperiment:
             assert [float(c) for c in cells[12:]] == row[12:]
 
 
+
+def write_mode_shapes(path, evaluator, model_id, position):
+    """mode_shapes.csv of a record whose winner is `model_id` at `position`:
+    its text, frequencies (13,) and shapes (13, 78)."""
+    best = SimpleNamespace(model_id=model_id, position=tuple(position))
+    runner._write_mode_shapes(path, evaluator, SimpleNamespace(ranking=[best]))
+    text = path.read_text()
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+    assert table.shape == (13, 2 + 78)
+    assert np.array_equal(table[:, 0], np.arange(1, 14))
+    return text, table[:, 1], table[:, 2:]
+
+
+# Nominal and five seeded in-box positions.
+SHAPE_POSITIONS = [np.full(5, 7.2e10)] + [
+    np.random.default_rng(seed).uniform(5.5e10, 7.5e10, 5) for seed in range(5)
+]
+
+
+class TestModeShapes:
+    """mode_shapes.csv against the dense solve of an independently assembled
+    pair (`fem.assemble`, `solve_generalized_eigen`)."""
+
+    @pytest.mark.parametrize("model_index", range(8))
+    def test_rows_solve_the_dense_pair(
+        self, tmp_path, evaluator, catalog, geometry, material, section, model_index
+    ):
+        model = catalog[model_index]
+        for position in SHAPE_POSITIONS:
+            _, frequencies, phi = write_mode_shapes(
+                tmp_path / "mode_shapes.csv", evaluator, model.model_id, position
+            )
+            system = assemble(geometry, element_modulus_vector(model, position), material, section)
+            k, m = system.k_global, system.m_global
+            eigenvalues, _ = solve_generalized_eigen(k, m)
+            reference = frequencies_from_eigenvalues(eigenvalues[6:13])
+            assert np.all(frequencies[:6] == 0.0)
+            np.testing.assert_allclose(frequencies[6:], reference, rtol=1e-9, atol=0.0)
+            k_norm = np.linalg.norm(k, 2)
+            for i, row in enumerate(phi):
+                k_phi = k @ row
+                if i < 6:
+                    assert np.linalg.norm(k_phi) <= 1e-8 * k_norm * np.linalg.norm(row)
+                else:
+                    lam = (2.0 * np.pi * frequencies[i]) ** 2
+                    residual = np.linalg.norm(k_phi - lam * (m @ row))
+                    assert residual <= 1e-8 * np.linalg.norm(k_phi)
+            assert np.abs(phi @ m @ phi.T - np.eye(13)).max() <= 1e-8
+
+    def test_rigid_rows_are_the_ordered_gram_schmidt_of_the_rigid_fields(
+        self, tmp_path, evaluator, catalog, geometry
+    ):
+        m = evaluator.m_global
+        expected = []
+        for field in rigid_body_basis(geometry.nodes):
+            for q in expected:
+                field = field - (q @ m @ field) * q
+            expected.append(field / np.sqrt(field @ m @ field))
+        for model in catalog:
+            for position in SHAPE_POSITIONS[:2]:
+                _, _, phi = write_mode_shapes(
+                    tmp_path / "mode_shapes.csv", evaluator, model.model_id, position
+                )
+                np.testing.assert_allclose(phi[:6], expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("model_index", range(8))
+    def test_elastic_rows_are_signed_and_planar(self, tmp_path, evaluator, catalog, model_index):
+        in_plane, out_of_plane = planar_dof_split(78)
+        for position in SHAPE_POSITIONS:
+            text, _, phi = write_mode_shapes(
+                tmp_path / "mode_shapes.csv", evaluator, catalog[model_index].model_id, position
+            )
+            cells = text.replace("\n", ",").split(",")
+            assert "-0" not in cells
+            for row in phi[6:]:
+                assert row[np.argmax(np.abs(row))] > 0.0
+                assert np.all(row[in_plane] == 0.0) or np.all(row[out_of_plane] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_shapes_do_not_depend_on_the_modulus_scale(self, tmp_path, evaluator, catalog, scale):
+        nominal = SHAPE_POSITIONS[0]
+        for model in catalog:
+            path = tmp_path / "mode_shapes.csv"
+            _, frequencies, phi = write_mode_shapes(path, evaluator, model.model_id, nominal)
+            _, scaled_frequencies, scaled_phi = write_mode_shapes(
+                path, evaluator, model.model_id, scale * nominal
+            )
+            np.testing.assert_allclose(scaled_phi, phi, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                scaled_frequencies, np.sqrt(scale) * frequencies, rtol=1e-12, atol=0.0
+            )
+
+    def test_moduli_near_the_smallest_double_write_finite_rows(self, tmp_path):
+        # K phi underflows to 0 at moduli of 1e-300, so the dense solve's
+        # residual check fails here (exit 4); the mirror blocks need none.
+        path = write_config(tmp_path, {
+            "preset": 1,
+            "output_dir": str(tmp_path / "out"),
+            "emit_mode_shapes": True,
+            "swarm": {"n_iterations": 3, "m_min": 1e-300, "m_max": 3e-300, "v_max": 1e-300,
+                      "v_min": 1e-302, "init_mean": 2e-300, "init_std": 3e-301},
+        })
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(path)]) == 0
+        table = np.loadtxt(tmp_path / "out" / "mode_shapes.csv", delimiter=",", skiprows=1)
+        assert table.shape == (13, 2 + 78)
+        assert np.all(np.isfinite(table))
+        assert np.all(table[6:, 1] > 0.0)
+
+
 class TestCsvRowFormat:
     def test_percent_format_equals_str_format(self):
         special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308,
@@ -994,6 +1107,13 @@ class TestCsvRowFormat:
         assert render_convergence_csv(record) == "\n".join(lines) + "\n"
         assert (tmp_path / "convergence.csv").read_text() == render_convergence_csv(record)
 
+
+    def test_rows_across_the_conversion_chunks(self, tmp_path):
+        # 64 rows become Python floats at a time; 130 rows cross two chunk
+        # boundaries.
+        record = run_experiment(tiny_config(tmp_path, n_iterations=130, seed=3))
+        lines = [runner._CSV_ROW % tuple(row) for row in record.rows.tolist()]
+        assert render_convergence_csv(record) == "\n".join([runner._CSV_HEADER, *lines]) + "\n"
 
     def test_other_particle_counts_are_rejected_by_name(self, catalog):
         config = SwarmConfig(n_iterations=2, objective_kind="SSE")
