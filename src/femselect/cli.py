@@ -8,8 +8,9 @@ femselect describe {geometry,catalog,modal} [--model ID] [--position E1,..,E5]
 `sweep` runs one preset for seeds FIRST .. FIRST+COUNT-1 into DIR/seed<k>/,
 prints each run's outcome as `preset` does, then a tally of the winners.
 
-Exit codes: 0 success, 2 configuration problem, 3 I/O problem, 4 a
-numerical failure that aborted the run.
+Exit codes: 0 success, 2 configuration problem (a run too large to
+allocate included), 3 I/O problem, 4 a numerical failure that aborted the
+run.
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_describe(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"configuration error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

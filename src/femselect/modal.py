@@ -255,26 +255,37 @@ def _mirror_basis(
 
 
 def mirror_standard_form(
-    whitened: np.ndarray, node_partner: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split planar standard-form blocks (E, 2, n, n), as made by
-    `planar_standard_form`, of a frame symmetric about y = 0 by its
-    mirror.
+    whitened: np.ndarray, roots: np.ndarray, node_partner: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Split the planar standard form (whitened (E, 2, n, n) blocks and
+    their mass roots (2, n, n), as made by `planar_standard_form`) of a
+    frame symmetric about y = 0 by its mirror, with one mirror basis per
+    plane.
 
     Each block W becomes B^T W B in the orthonormal mirror basis B, and
     its two diagonal blocks, symmetrized, are kept. B is the 0/+-1 basis
     U of `_mirror_basis` with each pair column divided by sqrt(2), so
     U^T W U is formed first and entry (i, j) scaled by 1, 1/sqrt(2) or
     exactly 1/2 as i and j combine pairs; a rounded 1/sqrt(2) squared is
-    not 1/2. The first stack (E, 2, k, k) holds the in-plane symmetric
-    and the out-of-plane antisymmetric blocks, the second
-    (E, 2, n-k, n-k) the other two; the eigenvalues of the four blocks
-    are those of W's two. Only a W that the mirror maps onto itself
-    splits exactly, so a dropped coupling entry above
-    MIRROR_COUPLING_TOLERANCE times max|W| raises StructureError.
+    not 1/2. Only a W that the mirror maps onto itself splits exactly, so
+    a dropped coupling entry above MIRROR_COUPLING_TOLERANCE times max|W|
+    raises StructureError.
+
+    Returns two block stacks and four maps. The first stack (E, 2, k, k)
+    holds the in-plane symmetric and the out-of-plane antisymmetric
+    blocks, the second (E, 2, n-k, n-k) the other two; the eigenvalues
+    of the four blocks are those of W's two. The maps take block
+    eigenvectors to mode shapes over all 2n DOFs, one (2n, size) map per
+    block in the blocks' flat order: in-plane symmetric, out-of-plane
+    antisymmetric, in-plane antisymmetric, out-of-plane symmetric. The
+    map of a block is R_b B, R_b the mass root of its plane and B the
+    block's orthonormal mirror columns, scattered into the rows of its
+    plane; the rows of the other plane are exactly 0.
     """
-    symmetric, antisymmetric = [], []
-    for j, dofs in enumerate((_IN_PLANE_DOFS, _OUT_OF_PLANE_DOFS)):
+    n_dofs = 2 * roots.shape[-1]
+    planes = zip((_IN_PLANE_DOFS, _OUT_OF_PLANE_DOFS), planar_dof_split(n_dofs))
+    halves = []
+    for j, (dofs, rows) in enumerate(planes):
         basis, pairs, n_sym = _mirror_basis(node_partner, _MIRROR_SIGNS[list(dofs)])
         n_pairs = pairs.astype(int)
         entry_scale = 0.5 ** (np.add.outer(n_pairs, n_pairs) / 2)
@@ -287,54 +298,26 @@ def mirror_standard_form(
                 f"{MIRROR_COUPLING_TOLERANCE:.0e}: the frame is not mirror-symmetric"
             )
         t = 0.5 * (t + t.transpose(0, 2, 1))
-        symmetric.append(t[:, :n_sym, :n_sym])
-        antisymmetric.append(t[:, n_sym:, n_sym:])
-    (in_sym, out_sym), (in_anti, out_anti) = symmetric, antisymmetric
-    return np.stack([in_sym, out_anti], axis=1), np.stack([in_anti, out_sym], axis=1)
-
-
-def mirror_mode_maps(roots: np.ndarray, node_partner: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Maps from the block eigenvectors of `mirror_standard_form` to mode
-    shapes over all n DOFs, one (n, k) map per block in the blocks' flat
-    order: in-plane symmetric, out-of-plane antisymmetric, in-plane
-    antisymmetric, out-of-plane symmetric. The map of a block is R_b B,
-    R_b the mass root of its plane from `planar_standard_form` and B the
-    orthonormal mirror columns of the block, scattered into the rows of
-    its plane; the rows of the other plane are exactly 0."""
-    n = 2 * roots.shape[-1]
-    planes = zip((_IN_PLANE_DOFS, _OUT_OF_PLANE_DOFS), planar_dof_split(n))
-    symmetric, antisymmetric = [], []
-    for j, (dofs, rows) in enumerate(planes):
-        basis, pairs, n_sym = _mirror_basis(node_partner, _MIRROR_SIGNS[list(dofs)])
-        columns = np.zeros((n, basis.shape[1]))
+        columns = np.zeros((n_dofs, basis.shape[1]))
         columns[rows] = roots[j] @ (basis * np.sqrt(0.5) ** pairs)
-        symmetric.append(columns[:, :n_sym])
-        antisymmetric.append(columns[:, n_sym:])
-    (in_sym, out_sym), (in_anti, out_anti) = symmetric, antisymmetric
-    return in_sym, out_anti, in_anti, out_sym
+        halves.append([(t[:, h, h], columns[:, h]) for h in (slice(n_sym), slice(n_sym, None))])
+    (in_sym, in_anti), (out_sym, out_anti) = halves
+    blocks, maps = zip(in_sym, out_anti, in_anti, out_sym)
+    return (np.stack(blocks[:2], axis=1), np.stack(blocks[2:], axis=1)), maps
 
 
 def mirror_eigenpairs(
-    class_blocks: tuple[np.ndarray, ...], class_moduli: np.ndarray
+    blocks: tuple[np.ndarray, ...], scale: float
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Eigenpairs of K = sum_c E_c W_c from the class stacks (C, 2, k, k)
-    of `mirror_standard_form` and the (C,) class moduli E, each block
-    solved by `np.linalg.eigh`. Returns the merged ascending eigenvalues
-    (n,), as `generalized_eigenvalues` orders them, the flat index of each
-    one's block (the order of `mirror_mode_maps`) and its unit block
-    eigenvector.
-
-    The blocks are summed at E / max|E| and the eigenvalues scaled back,
-    so the solve sees one input at E and at any s E whose ratios round
-    alike (equal moduli always do), and its vectors do not depend on the
-    scale of the moduli. Summed at E, the sums, and LAPACK's rescaling of
-    a block far from unit norm, would round differently at each scale."""
-    scale = np.abs(class_moduli).max() or 1.0
+    """Eigenpairs of summed mirror blocks, a (2, k, k) array per stack of
+    `mirror_standard_form`, each block solved by `np.linalg.eigh`. Returns
+    the merged ascending eigenvalues (n,) times `scale`, as
+    `generalized_eigenvalues` orders them, the flat index of each one's
+    block (the order of `mirror_standard_form`'s maps) and its unit block
+    eigenvector. The eigenvalues are scaled before they are merged, so
+    blocks summed at E / s and scaled by s sort as the spectrum at E."""
     try:
-        solved = [
-            np.linalg.eigh(np.tensordot(class_moduli / scale, blocks, axes=1))
-            for blocks in class_blocks
-        ]
+        solved = [np.linalg.eigh(stack) for stack in blocks]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"planar symmetric solver did not converge: {exc}") from exc
     values = np.concatenate([w.ravel() for w, _ in solved]) * scale

@@ -30,12 +30,9 @@ from .beam_structure import (
     model_catalog,
     nominal_material,
 )
-# `assemble` is not called here; the benchmark tracer patches it by this
-# name, so it stays importable from this module.
-from .fem import assemble  # noqa: F401
-from .fem import beam_element_matrices, element_dof_indices, transform_to_global
-# `solve_generalized_eigen` is not called here either (mode shapes come from
-# the mirror blocks); the tracer patches it by this name too.
+from .fem import assemble, beam_element_matrices, element_dof_indices, transform_to_global
+# `solve_generalized_eigen` is not called here (mode shapes come from the
+# mirror blocks); the benchmark tracer patches it by this name.
 from .modal import solve_generalized_eigen  # noqa: F401
 from .modal import (
     RIGID_BODY_RATIO,
@@ -47,7 +44,6 @@ from .modal import (
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
     mirror_eigenpairs,
-    mirror_mode_maps,
     mirror_partners,
     mirror_standard_form,
     planar_standard_form,
@@ -184,10 +180,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigValidationError("seed", "seed given twice with different values")
         kwargs["seed"] = data["seed"]
 
-    try:
-        swarm_config = SwarmConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigValidationError("swarm", str(exc)) from exc
+    swarm_config = SwarmConfig(**kwargs)
 
     emit = data.get("emit_mode_shapes", False)
     if not isinstance(emit, bool):
@@ -211,21 +204,21 @@ class ModelEvaluator:
     frequencies, with the expensive parts hoisted out of the loop.
 
     The global stiffness is linear in each element modulus (shear modulus
-    scales with E at fixed Poisson ratio), so one unit-modulus stiffness
-    per element is precomputed and a candidate's K is a weighted sum of
-    the stack. The mass matrix never changes, so the unit stiffnesses are
-    also split into planar halves and whitened by the inverse square
-    roots of the mass blocks (`planar_standard_form`, numpy alone). The
-    frame is symmetric about y = 0 and every catalog model gives mirror
-    partners (elements 1 and 4, 2 and 3, 11 and 12, derived from the
-    geometry) one modulus, so the whitened stiffnesses of each class of
-    partners are summed and each half is split by the mirror
-    (`mirror_standard_form`). A candidate's spectrum is then two weighted
-    sums of those class stacks and four standard eigenvalue solves of 16
-    or 23 DOFs. A batch of candidates shares one eigenvalue call. Mode
-    shapes come from the same blocks (`eigenpairs`): each block
-    eigenvector maps back to the 78 DOFs through its plane's mass root
-    and mirror basis (`mirror_mode_maps`).
+    scales with E at fixed Poisson ratio), and the mass matrix never
+    changes. So the build assembles one unit-modulus stiffness per
+    element, splits each into planar halves and whitens them by the
+    inverse square roots of the mass blocks (`planar_standard_form`,
+    numpy alone). The frame is symmetric about y = 0 and every catalog
+    model gives mirror partners (elements 1 and 4, 2 and 3, 11 and 12,
+    derived from the geometry) one modulus, so the whitened stiffnesses
+    of each class of partners are summed and each half is split by the
+    mirror (`mirror_standard_form`), which also gives each block's map
+    back to the 78 DOFs through its plane's mass root and mirror basis.
+    Only the class blocks and the maps are kept. A candidate's blocks are
+    weighted sums of the class blocks (`_class_sums`), which fitness,
+    `describe` (`spectrum`) and mode shapes (`eigenpairs`) all use; the
+    spectrum is four standard eigenvalue solves of 16 or 23 DOFs, and a
+    batch of candidates shares one eigenvalue call.
 
     Every build yields the same arrays, so a process builds one through
     `_default_evaluator()` and every run, score and description shares
@@ -258,8 +251,8 @@ class ModelEvaluator:
             idx = np.ix_(dofs, dofs)
             stack[element.element_id - 1][idx] = global_mats.stiffness
             m_global[idx] += global_mats.mass
-        self._unit_stiffness = stack
         self.m_global = m_global
+        self._frame = (geometry, material, section)
 
         node_partner, element_partner = mirror_partners(geometry)
         # Each class of mirror partners shares one modulus: the first
@@ -273,22 +266,22 @@ class ModelEvaluator:
         summed = whitened[self._classes]
         for a, b in self._mirror_pairs:
             summed[self._classes == a] += whitened[b]
-        self._mirror_blocks = mirror_standard_form(summed, node_partner)
-        self._mode_maps = mirror_mode_maps(roots, node_partner)
+        self._mirror_blocks, self._mode_maps = mirror_standard_form(summed, roots, node_partner)
         self.rigid_modes = rigid_body_modes(geometry.nodes, m_global)
         self._ranks = np.asarray(self.measured.mode_indices) - 1
         self._plan = functools.lru_cache(maxsize=32)(self._derive_plan)
         # One evaluator serves every run of the process.
-        for arr in (self._unit_stiffness, self.m_global, self._classes, self._mirror_pairs,
-                    *self._mirror_blocks, *self._mode_maps, self.rigid_modes, self._ranks):
+        for arr in (self.m_global, self._classes, self._mirror_pairs, *self._mirror_blocks,
+                    *self._mode_maps, self.rigid_modes, self._ranks):
             arr.setflags(write=False)
 
     # No run calls `stiffness`: the benchmark tracer patches it by this name,
     # and tests compare the dense reference at its K.
     def stiffness(self, moduli: np.ndarray) -> np.ndarray:
-        """Full global K at these element moduli, a weighted sum of the unit
-        stiffnesses, for the dense reference."""
-        return np.tensordot(moduli, self._unit_stiffness, axes=1)
+        """Full global K of this evaluator's frame at these element moduli,
+        by `fem.assemble`, for the dense reference."""
+        geometry, material, section = self._frame
+        return assemble(geometry, moduli, material, section).k_global
 
     def _require_mirror(self, per_element: np.ndarray) -> None:
         """ValueError unless each row of (P, 12) per-element moduli or search
@@ -316,12 +309,7 @@ class ModelEvaluator:
         """Ascending spectra of (P, 9) mirror-class moduli, one row each,
         from one eigenvalue call on the mirror blocks; nan rows for the
         errors returned."""
-        # Stacked (1, 9) @ (9, N) products round as `row @ flat` does; one
-        # (P, 9) @ (9, N) product does not, and scores must not depend on P.
-        stacks = tuple(
-            (moduli[:, None] @ blocks.reshape(len(blocks), -1)).reshape(-1, *blocks.shape[1:])
-            for blocks in self._mirror_blocks
-        )
+        stacks = self._class_sums(moduli)
         try:
             return generalized_eigenvalues(stacks), {}
         except ConvergenceError:
@@ -336,6 +324,15 @@ class ModelEvaluator:
             except ConvergenceError as exc:
                 errors[i] = exc
         return eigenvalues, errors
+
+    def _class_sums(self, moduli: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The mirror block stacks (P, 2, k, k) of (P, 9) class moduli."""
+        # Stacked (1, 9) @ (9, N) products round as `row @ flat` does; one
+        # (P, 9) @ (9, N) product does not, and scores must not depend on P.
+        return tuple(
+            (moduli[:, None] @ blocks.reshape(len(blocks), -1)).reshape(-1, *blocks.shape[1:])
+            for blocks in self._mirror_blocks
+        )
 
     def _mirror_classes(self, moduli: np.ndarray) -> np.ndarray:
         """(1, 9) mirror-class moduli of 12 element moduli; ValueError
@@ -359,8 +356,18 @@ class ModelEvaluator:
         eigenvalues, each one's block and its block eigenvector, which
         `_mode_maps[block] @ vector` makes an M-normalized mode shape.
         ValueError unless the moduli are finite and agree on every mirror
-        pair."""
-        return mirror_eigenpairs(self._mirror_blocks, self._mirror_classes(moduli)[0])
+        pair.
+
+        The blocks are summed at E / max|E| and the eigenvalues scaled back,
+        so the solve sees one input at E and at any s E whose ratios round
+        alike (equal moduli always do), and its vectors do not depend on the
+        scale of the moduli. Summed at E, the sums, and LAPACK's rescaling
+        of a block far from unit norm, would round differently at each
+        scale."""
+        class_moduli = self._mirror_classes(moduli)
+        scale = np.abs(class_moduli).max() or 1.0
+        blocks = tuple(stack[0] for stack in self._class_sums(class_moduli / scale))
+        return mirror_eigenpairs(blocks, scale)
 
     def evaluate_batch(
         self,

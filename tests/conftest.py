@@ -48,11 +48,11 @@ def straight_beam_geometry(length: float = 1.2, n_elements: int = 12) -> BeamGeo
     return BeamGeometry(nodes=nodes, elements=elements, joints=(0, n_elements))
 
 # The nominal m1 objective (all moduli 7.2e10) from a 40-digit solve of
-# the two planar blocks of the float64 (K, M) pair; see
-# tests/test_modal.py::TestMpmathReference, which re-derives them.
-NOMINAL_SSE = 290.19741176350013
-NOMINAL_SIGMA_SQUARED = 116.07896470540005
-NOMINAL_AIC = 25.771353448668051
+# the two planar blocks of the float64 (K, M) pair, K from `fem.assemble`;
+# see tests/test_modal.py::TestMpmathReference, which re-derives them.
+NOMINAL_SSE = 290.1974117634453
+NOMINAL_SIGMA_SQUARED = 116.07896470537813
+NOMINAL_AIC = 25.771353448667107
 
 settings.register_profile(
     "default",

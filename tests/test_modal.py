@@ -25,6 +25,8 @@ from femselect.modal import (
     StructureError,
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
+    mirror_partners,
+    mirror_standard_form,
     natural_frequencies,
     planar_dof_split,
     planar_standard_form,
@@ -293,6 +295,28 @@ class TestPlanarSplit:
         assert [b.shape[-1] for b in evaluator._mirror_blocks] == [16, 23]
         assert counts == [[1, 1], [2, 2]]
 
+    def test_mode_maps_form_an_m_orthonormal_basis(self, h_system, geometry):
+        # Each map R_b B lives on its own plane's rows. Side by side the four
+        # form T, and T^T M T = R_b M_b R_b per plane in the orthonormal
+        # mirror basis. R_b comes from an `eigh` of M_b with backward error
+        # about eps ||M_b||, which R_b M_b R_b carries as about
+        # eps kappa(M_b); 39 eps kappa(M_b) bounds it with room to spare
+        # (kappa 1.1e5, bound 9.4e-10, measured 7.6e-12).
+        whitened, roots = planar_standard_form(h_system.k_global[None], h_system.m_global)
+        _, maps = mirror_standard_form(whitened, roots, mirror_partners(geometry)[0])
+        in_plane, out_of_plane = planar_dof_split(78)
+        # Flat order: in-plane blocks at 0 and 2, out-of-plane at 1 and 3.
+        for other_rows, plane_maps in ((out_of_plane, maps[0::2]), (in_plane, maps[1::2])):
+            for block_map in plane_maps:
+                assert np.all(block_map[other_rows] == 0.0)
+        t = np.hstack(maps)
+        assert t.shape == (78, 78)
+        m = h_system.m_global
+        kappa = max(np.linalg.cond(m[np.ix_(b, b)]) for b in (in_plane, out_of_plane))
+        np.testing.assert_allclose(
+            t.T @ m @ t, np.eye(78), rtol=0.0, atol=39 * np.finfo(float).eps * kappa
+        )
+
     @pytest.mark.parametrize("model_index", range(8))
     def test_eigenpairs_solve_their_blocks(self, evaluator, catalog, model_index):
         # Each eigenvalue's block and vector solve that block, and ranks 7-13
@@ -382,10 +406,10 @@ class TestPlanarSplit:
 class TestMpmathReference:
     """Both float64 paths against a 40-digit solve of the nominal pair.
 
-    The reference takes the evaluator's float64 K and M as exact inputs,
-    splits them by DOF residue (computed here, not by the code under
-    test), and solves each 39x39 half in mpmath: Cholesky of the mass
-    block, explicit whitening, Jacobi eigenvalues. About 2 s.
+    The reference takes the assembled float64 K and the evaluator's M as
+    exact inputs, splits them by DOF residue (computed here, not by the
+    code under test), and solves each 39x39 half in mpmath: Cholesky of
+    the mass block, explicit whitening, Jacobi eigenvalues. About 2 s.
     """
 
     @pytest.fixture(scope="class")
@@ -415,7 +439,7 @@ class TestMpmathReference:
 
     def test_elastic_ranks_of_both_paths(self, reference, evaluator):
         # Measured worst relative eigenvalue errors over ranks 7-13 on
-        # OpenBLAS 0.3.31 (Haswell kernels): planar 3.1e-12, dense 1.5e-11.
+        # OpenBLAS 0.3.31 (Haswell kernels): planar 3.9e-13, dense 7.8e-12.
         mpmath, exact = reference
         moduli = np.full(12, 7.2e10)
         system = GlobalSystem(
@@ -440,8 +464,9 @@ class TestMpmathReference:
             sse = total / 2
             sigma_squared = total / len(residuals)
             aic = len(residuals) * mpmath.log(sigma_squared) + 2
-        # A last-bit change in the float64 K moves the reference itself:
-        # the element-loop K of fem.assemble gives an SSE 1.9e-13 away.
+        # A last-bit change in the float64 K moves the reference itself: K
+        # summed from unit-modulus element stiffnesses gives an SSE 1.9e-13
+        # away from that of the element-loop K of fem.assemble.
         assert float(sse) == pytest.approx(NOMINAL_SSE, rel=2e-13)
         assert float(sigma_squared) == pytest.approx(NOMINAL_SIGMA_SQUARED, rel=2e-13)
         assert float(aic) == pytest.approx(NOMINAL_AIC, rel=2e-13)

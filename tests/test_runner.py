@@ -254,9 +254,9 @@ class TestEvaluateModel:
         b = evaluate_model(catalog[1], position, "AIC")
         assert a.value == b.value
 
-    # Goldens from the 40-digit reference (conftest). Tolerances are the
-    # larger measured error of the two float64 paths: SSE 1.6e-12 planar
-    # and 4.9e-12 dense, AIC 3.0e-13 planar and 9.5e-13 dense.
+    # Goldens from the 40-digit reference (conftest). Tolerances are above
+    # the larger measured error of the two float64 paths: SSE 7.7e-13
+    # planar and 1.5e-12 dense, AIC 1.5e-13 planar and 3.0e-13 dense.
     def test_sse_golden_at_nominal(self, catalog):
         out = evaluate_model(catalog[0], np.full(5, 7.2e10), "SSE")
         assert out.value == pytest.approx(NOMINAL_SSE, rel=5e-12)
@@ -294,16 +294,6 @@ class TestModelEvaluator:
         direct = assemble(geometry, np.full(12, 6.4e10), material, section)
         assert np.array_equal(evaluator.m_global, direct.m_global)
 
-    def test_stiffness_stack_matches_direct_assembly(
-        self, geometry, material, section, nominal_moduli
-    ):
-        evaluator = ModelEvaluator()
-        direct = assemble(geometry, nominal_moduli, material, section)
-        np.testing.assert_allclose(
-            evaluator.stiffness(nominal_moduli), direct.k_global, rtol=1e-12, atol=1e-3
-        )
-        np.testing.assert_allclose(evaluator.m_global, direct.m_global)
-
     def test_mass_independent_of_moduli(self):
         evaluator = ModelEvaluator()
         m_copy = evaluator.m_global.copy()
@@ -314,7 +304,7 @@ class TestModelEvaluator:
         evaluator = runner._default_evaluator()
         with pytest.raises(ValueError, match="read-only"):
             evaluator.m_global[0, 0] = 1.0
-        for array in (evaluator._unit_stiffness, *evaluator._mirror_blocks, evaluator._ranks):
+        for array in (*evaluator._mirror_blocks, *evaluator._mode_maps, evaluator._ranks):
             assert not array.flags.writeable
 
 
@@ -1238,6 +1228,8 @@ class TestCli:
             '"w_start": 8e297, "v_max": 1e10}}',
             '{"swarm": {"n_iterations": 2, "m_min": 1e308, "m_max": 1.5e308, "v_max": 1e308, '
             '"v_min": 1.0, "c1": 0.1, "c2": 0.1, "init_mean": 1.2e308}}',
+            # Refused at allocation, before any memory is touched.
+            '{"preset": 1, "swarm": {"n_iterations": 1000000000000000}}',
         ],
     )
     def test_malformed_config_values_exit_two(self, tmp_path, capsys, text):
