@@ -8,6 +8,7 @@ is a point (or manifold) in a five-dimensional modulus search space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,6 +240,7 @@ _CATALOG_GROUPS: list[tuple[set[int], ...]] = [
 ]
 
 
+@functools.cache
 def model_catalog() -> tuple[ModelSpec, ...]:
     """All eight competing parameterizations, in id order.
 
@@ -246,6 +248,8 @@ def model_catalog() -> tuple[ModelSpec, ...]:
     from the rest; model 6 splits off the left leg; model 7 splits the
     structure at the crossbar middle; model 8 keeps left leg plus first
     crossbar element, crossbar interior, and right end as three groups.
+    Built once per process and shared: a spec is frozen and its
+    `element_dims` read-only.
     """
     return tuple(
         ModelSpec(i + 1, tuple(frozenset(g) for g in groups), len(groups))

@@ -11,12 +11,15 @@ prints each run's outcome as `preset` does, then a tally of the winners.
 Exit codes: 0 success, 2 configuration problem (a run too large to
 allocate included), 3 I/O problem, 4 a numerical failure that aborted the
 run.
+
+A process builds the parser once and every `main` call parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -34,6 +37,8 @@ from .runner import (
 from .swarm import RunRecord
 
 
+# A parser keeps no state between parses, so a process builds one.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="femselect",

@@ -275,6 +275,14 @@ class ModelEvaluator:
                     *self._mode_maps, self.rigid_modes, self._ranks):
             arr.setflags(write=False)
 
+    @functools.cached_property
+    def _shape_head(self) -> str:
+        """Header and rows 1-6 (the rigid modes at 0 Hz) of mode_shapes.csv,
+        built on the first write and reused by every later one."""
+        n = self.rigid_modes.shape[1]
+        header = "mode,frequency_hz," + ",".join(f"phi_{i}" for i in range(1, n + 1))
+        return "\n".join([header, *_shape_lines(1, np.zeros(6), self.rigid_modes)])
+
     # No run calls `stiffness`: the benchmark tracer patches it by this name,
     # and tests compare the dense reference at its K.
     def stiffness(self, moduli: np.ndarray) -> np.ndarray:
@@ -699,13 +707,22 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _shape_lines(first: int, frequencies: np.ndarray, shapes: np.ndarray) -> list[str]:
+    """mode_shapes.csv rows of modes `first`, `first` + 1, ...: number,
+    frequency, then the shape."""
+    # Adding 0.0 turns every -0 cell into 0.
+    table = np.column_stack([np.arange(first, first + len(shapes)), frequencies, shapes]) + 0.0
+    row = "%d," + ",".join(["%.17g"] * (shapes.shape[1] + 1))  # as _CSV_ROW
+    return [row % tuple(r) for r in table.tolist()]
+
+
 def _write_mode_shapes(path: Path, evaluator: ModelEvaluator, record: RunRecord) -> None:
     """The first 13 M-orthonormal mode shapes of the winning model at its
     best position, one per row. Rows 1-6 are the evaluator's
-    `rigid_modes` at 0 Hz; rows 7-13 are the elastic pairs 7-13 of the
-    mirror blocks, each signed so that its largest |component| (the first
-    one on a tie) is positive. StructureError unless the spectrum shows
-    six rigid-body modes."""
+    `rigid_modes` at 0 Hz, the same text for every run (`_shape_head`);
+    rows 7-13 are the elastic pairs 7-13 of the mirror blocks, each signed
+    so that its largest |component| (the first one on a tie) is positive.
+    StructureError unless the spectrum shows six rigid-body modes."""
     best = record.ranking[0]
     model = next(m for m in model_catalog() if m.model_id == best.model_id)
     moduli = element_modulus_vector(model, np.asarray(best.position))
@@ -714,14 +731,8 @@ def _write_mode_shapes(path: Path, evaluator: ModelEvaluator, record: RunRecord)
     elastic = np.stack([evaluator._mode_maps[b] @ v for b, v in zip(blocks[6:13], vectors[6:13])])
     largest = elastic[np.arange(len(elastic)), np.abs(elastic).argmax(axis=1)]
     elastic[largest < 0.0] *= -1.0
-    frequencies = np.concatenate([np.zeros(6), frequencies_from_eigenvalues(eigenvalues[6:13])])
-    shapes = np.vstack([evaluator.rigid_modes, elastic])
-    # Adding 0.0 turns every -0 cell into 0.
-    table = np.column_stack([np.arange(1, 14), frequencies, shapes]) + 0.0
-    n = shapes.shape[1]
-    header = "mode,frequency_hz," + ",".join(f"phi_{i}" for i in range(1, n + 1))
-    row = "%d," + ",".join(["%.17g"] * (n + 1))  # as _CSV_ROW
-    _write_atomic(path, "\n".join([header, *(row % tuple(r) for r in table.tolist())]) + "\n")
+    rows = _shape_lines(7, frequencies_from_eigenvalues(eigenvalues[6:13]), elastic)
+    _write_atomic(path, "\n".join([evaluator._shape_head, *rows]) + "\n")
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -152,6 +154,16 @@ class TestMaterial:
 class TestModelCatalog:
     def test_eight_models_in_id_order(self, catalog):
         assert [m.model_id for m in catalog] == list(range(1, 9))
+
+    def test_one_catalog_per_process_that_no_caller_can_change(self):
+        # Every caller shares the cached tuple, so its specs must be immutable.
+        catalog = model_catalog()
+        assert model_catalog() is catalog
+        for spec in catalog:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                spec.d = 3
+            with pytest.raises(ValueError, match="read-only"):
+                spec.element_dims[0] = 0
 
     def test_parameter_counts(self, catalog):
         assert [m.d for m in catalog] == [1, 2, 3, 4, 5, 2, 2, 3]

@@ -6,8 +6,8 @@ driver writes config files and command lines for the CLI. A rename or a
 deleted config key there would make the benchmark read zero for a layer
 or fail to run, so these tests pin the names, the evaluate signature,
 the configs and the command lines. They also pin that the set-up the
-benchmark times, and every run with or without mode shapes, loads no
-scipy.
+benchmark times loads neither scipy nor the CLI, and that every run
+with or without mode shapes loads no scipy.
 """
 
 import contextlib
@@ -228,6 +228,15 @@ def test_setup_code_loads_no_scipy(bench):
     elapsed, loaded = _python(f"{bench.SETUP_CODE}\nprint({SCIPY_LOADED})", str(SRC))
     assert float(elapsed) > 0.0
     assert loaded == "False"
+
+
+def test_setup_code_loads_no_cli(bench):
+    # The CLI keeps its parser for the process; setup_s must not build or
+    # import it, so a move in setup_s cannot come from the CLI.
+    loaded = "[m in sys.modules for m in ('argparse', 'femselect.cli')]"
+    elapsed, *flags = _python(f"{bench.SETUP_CODE}\nprint(*{loaded})", str(SRC))
+    assert float(elapsed) > 0.0
+    assert flags == ["False", "False"]
 
 
 def test_no_run_loads_scipy(tmp_path):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NOMINAL_AIC, NOMINAL_SIGMA_SQUARED, NOMINAL_SSE, rigid_body_basis
-from femselect import runner
+from femselect import cli, runner
 from femselect.beam_structure import ModelSpec, element_modulus_vector, model_catalog
 from femselect.cli import main
 from femselect.fem import assemble
@@ -819,6 +820,19 @@ class TestScreen:
 
 
 class TestRunExperiment:
+    def test_runs_share_the_catalog_but_not_the_screen(self, tmp_path, monkeypatch):
+        # The screen restarts when its models are not the ones it last saw;
+        # on the one cached catalog only a fresh screen per run does that.
+        screens = []
+        real = runner._Screen
+        monkeypatch.setattr(runner, "_Screen", lambda *a: screens.append(real(*a)) or screens[-1])
+        config = tiny_config(tmp_path, n_iterations=40, seed=3)
+        first, second = run_experiment(config), run_experiment(config)
+        assert screens[0] is not screens[1]
+        assert screens[0].models is screens[1].models is model_catalog()
+        assert np.array_equal(first.rows, second.rows)
+        assert dataclasses.replace(first, rows=None) == dataclasses.replace(second, rows=None)
+
     def test_artifacts_and_trace_contract(self, tmp_path):
         config = tiny_config(tmp_path, n_iterations=6, seed=0)
         record = run_experiment(config)
@@ -1196,6 +1210,65 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["preset", "--simulation", "9", "--seed", "0", "--out", "x"])
         assert excinfo.value.code == 2
+
+    def test_the_shared_parser_keeps_nothing_between_calls(self, tmp_path, capsys):
+        # One parser serves every call of the process: each parse starts
+        # from the defaults, never from the previous call's values.
+        catalog_text = describe("catalog")
+        config_out, override_out = tmp_path / "config_out", tmp_path / "override_out"
+        path = write_config(
+            tmp_path, {"seed": 1, "swarm": {"n_iterations": 2}, "output_dir": str(config_out)}
+        )
+        argv = ["run", "--config", str(path)]
+        assert main([*argv, "--seed", "7", "--out", str(override_out)]) == 0
+        assert f"artifacts written to {override_out}\n" in capsys.readouterr().out
+        first = {p.name: p.read_bytes() for p in override_out.iterdir()}
+        assert json.loads(first["result.json"])["seed"] == 7
+
+        assert main(argv) == 0
+        assert f"artifacts written to {config_out}\n" in capsys.readouterr().out
+        assert json.loads((config_out / "result.json").read_text())["seed"] == 1
+        assert {p.name: p.read_bytes() for p in override_out.iterdir()} == first
+
+        rejected = ["preset", "--simulation", "9", "--seed", "0", "--out", "x"]
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args(rejected)
+        fresh = capsys.readouterr().err
+        assert "invalid choice: 9" in fresh
+        with pytest.raises(SystemExit) as excinfo:
+            main(rejected)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == fresh
+
+        assert main(["describe", "catalog"]) == 0
+        assert capsys.readouterr().out == catalog_text
+
+    def test_warm_runs_build_no_parser_catalog_or_rigid_rows(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, {
+            "preset": 2,
+            "output_dir": str(tmp_path / "warm"),
+            "emit_mode_shapes": True,
+            "swarm": {"n_iterations": 2},
+        })
+        assert main(["run", "--config", str(path)]) == 0  # builds what the process keeps
+        built, shape_rows = [], []
+        parser_init, spec_init, lines = (
+            argparse.ArgumentParser.__init__, ModelSpec.__post_init__, runner._shape_lines
+        )
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__",
+            lambda self, *a, **k: built.append("parser") or parser_init(self, *a, **k),
+        )
+        monkeypatch.setattr(ModelSpec, "__post_init__", lambda s: built.append("spec") or spec_init(s))
+        monkeypatch.setattr(
+            runner, "_shape_lines", lambda first, *a: shape_rows.append(first) or lines(first, *a)
+        )
+        for seed in (1, 2):
+            out = tmp_path / f"seed{seed}"
+            assert main(["run", "--config", str(path), "--seed", str(seed), "--out", str(out)]) == 0
+            assert (out / "mode_shapes.csv").exists()
+        assert built == []
+        assert shape_rows == [7, 7]  # the elastic rows; rows 1-6 are reused
 
     def test_run_subcommand_with_overrides(self, tmp_path, capsys):
         path = write_config(
