@@ -365,7 +365,8 @@ def generalized_eigenvalues(blocks: np.ndarray | tuple[np.ndarray, ...]) -> np.n
 def frequencies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     """sqrt(max(lambda, 0)) / 2 pi; roundoff negatives in the rigid cluster
     clamp to zero Hz."""
-    return np.sqrt(np.clip(eigenvalues, 0.0, None)) / (2.0 * np.pi)
+    # What np.clip(eigenvalues, 0.0, None) calls, without its wrappers.
+    return np.sqrt(np.maximum(eigenvalues, 0.0)) / (2.0 * np.pi)
 
 
 def free_free_frequencies(

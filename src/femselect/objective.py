@@ -56,7 +56,7 @@ def sse(residual_vector: np.ndarray, d: int | np.ndarray | None = None) -> Objec
     """Half the squared residual sum; blind to model complexity."""
     r = np.asarray(residual_vector, dtype=float)
     n = r.shape[-1]
-    total = np.sum(r**2, axis=-1)
+    total = np.add.reduce(r * r, axis=-1)
     return ObjectiveValue(
         kind="SSE",
         value=_scalar(total / 2.0),
@@ -73,20 +73,23 @@ def aic(residual_vector: np.ndarray, d: int | np.ndarray) -> ObjectiveValue:
     """n ln(sigma^2) + 2d with the floored residual variance."""
     r = np.asarray(residual_vector, dtype=float)
     d_arr = np.asarray(d)
-    if np.any((d_arr < 1) | (d_arr > 5)):
+    # Two reductions, whose initial values pass an empty d.
+    smallest = np.minimum.reduce(d_arr, None, initial=1)
+    if smallest < 1 or np.maximum.reduce(d_arr, None, initial=5) > 5:
         raise ValueError("d must lie in 1..5")
     n = r.shape[-1]
-    sigma_squared = np.sum(r**2, axis=-1) / n
+    sigma_squared = np.add.reduce(r * r, axis=-1) / n
     floored = np.maximum(sigma_squared, SIGMA_SQ_FLOOR)
     # math.log, not np.log: numpy's SIMD log differs from libm's in the
     # last bit for some inputs, which would move scores, and with them
     # every artifact, away from those of the one-vector formula.
-    log = np.array(list(map(math.log, np.ravel(floored).tolist()))).reshape(floored.shape)
+    log = np.array(list(map(math.log, floored.ravel().tolist()))).reshape(floored.shape)
     variance_term = n * log
     # Snapping the variance term to a 2^-44 grid keeps the sum with the
     # integer penalty exactly representable (for |AIC| < 2^8), so scores
     # for the same residuals at consecutive d always differ by exactly 2.
-    variance_term = np.round(variance_term * _VARIANCE_TERM_GRID) / _VARIANCE_TERM_GRID
+    # (np.round to 0 decimals is np.rint.)
+    variance_term = np.rint(variance_term * _VARIANCE_TERM_GRID) / _VARIANCE_TERM_GRID
     value = variance_term + 2.0 * d_arr
     return ObjectiveValue(
         kind="AIC",

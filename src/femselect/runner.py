@@ -153,7 +153,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigNotFoundError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    # Not only JSONDecodeError: text nested past the recursion limit raises
+    # RecursionError, and an integer literal past Python's digit limit (or
+    # text that is not UTF-8) a plain ValueError.
+    except (ValueError, RecursionError) as exc:
         raise ConfigParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigParseError(f"{path}: top level must be a JSON object")
@@ -420,13 +423,13 @@ class ModelEvaluator:
         """The exact score of any rows: (P, 9) class moduli and (P,) d ->
         scores, the errors of failed rows (nan scores) and the spectra."""
         eigenvalues, errors = self._eigenvalues(class_moduli)
-        # The six rigid modes lie below the top measured rank, so the columns
-        # up to it count them; only an error needs the count of them all.
-        frequencies, structure_errors = free_free_frequencies(eigenvalues[:, : self._ranks[-1] + 1])
-        if structure_errors:
-            structure_errors = free_free_frequencies(eigenvalues)[1]
-        errors = {**structure_errors, **errors}
-        r = residuals(self.measured, frequencies[:, self._ranks])
+        # In an ascending spectrum the count below t = RIGID_BODY_RATIO lam[6]
+        # is six iff lam[5] < t and not lam[6] < t; only a row that fails it
+        # needs the count of them all, to name it.
+        t = RIGID_BODY_RATIO * eigenvalues[:, 6]
+        if not ((eigenvalues[:, 5] < t).all() and not (eigenvalues[:, 6] < t).any()):
+            errors = {**free_free_frequencies(eigenvalues)[1], **errors}
+        r = residuals(self.measured, frequencies_from_eigenvalues(eigenvalues[:, self._ranks]))
         score = aic(r, d) if objective_kind == "AIC" else sse(r, d)
         if errors:
             failed = list(errors)
@@ -488,9 +491,13 @@ SCREEN_SLACK = 16 * 23 * np.finfo(float).eps
 # 2e-12 max(1, |t|), a 2e-3 part of the margin; the rest keeps a skipped
 # row's computed score above t. SSE: S/2 > t + margin iff S > 2 (t + margin).
 SCREEN_MARGIN = 1e-9
-# Iterations of a window bracketed at once. malloc maps a block of 128 KB or
-# more afresh, page faults and all, and a 16-iteration bracket's (9, 128, 32)
-# ratios take 295 KB: 128 faults a call. Four iterations' take 74 KB.
+# Iterations of a window bracketed at once. A particle's ring is held once
+# per iteration of a block, so that a block's rows divide the rings as they
+# are. With 8 particles the rings take 20 fields x 32 slots x 32 columns,
+# 160 KB, allocated once a run; a full block's temporaries, its (9, 32, 32)
+# ratios and each (5, 32, 32) bound, 72 KB and 40 KB, allocated every call.
+# malloc maps a block of 128 KB or more afresh, page faults and all: a block
+# of 16 iterations would take 288 KB of ratios, and one of 8 would take 144 KB.
 SCREEN_BLOCK = 4
 
 
@@ -513,7 +520,9 @@ class _Screen:
         self.evaluator = evaluator
         self.kind = objective_kind
         self.models: tuple[ModelSpec, ...] | None = None
-        self._columns = np.concatenate([[6], evaluator._ranks])  # kept: index 6, the ranks
+        # Kept columns, ascending: index 6, then the measured ranks as the
+        # last of them (rank 7 is index 6 itself).
+        self._columns = np.union1d([6], evaluator._ranks)
         self._measured = evaluator.measured.frequencies_hz[:, None]
         self._lam = (2.0 * np.pi * self._measured) ** 2
 
@@ -521,9 +530,12 @@ class _Screen:
         """Start a run of the particles `models`: their plan and empty rings."""
         self.models, self.plan = models, self.evaluator._plan(tuple(models))
         self._penalty = 2.0 * self.plan[0]
-        # Field x particle x ring slot; fields: 9 class moduli, lam -/+ tau at
-        # the kept columns, slack of a spectrum at most as high. Empty: nan.
-        self.points = np.full((10 + 2 * len(self._columns), len(models), SCREEN_RING), math.nan)
+        self._limits = (None, None)
+        # Field x ring slot x column; fields: 9 class moduli, lam -/+ tau at
+        # the kept columns, slack of a spectrum at most as high. Column i P + p
+        # holds particle p's ring, for each iteration i of a block. Empty: nan.
+        shape = (10 + 2 * len(self._columns), SCREEN_RING, SCREEN_BLOCK * len(models))
+        self.points = np.full(shape, math.nan)
         self.pushes = np.zeros(len(models), dtype=int)
 
     def __call__(self, models, positions, threshold):
@@ -545,40 +557,56 @@ class _Screen:
         """Bounds (k, R) on the computed eigenvalues at the kept columns of
         (R, 9) class moduli, and the (R,) slack of their rigid ones. Row r
         is bracketed by the ring of particle r mod P."""
-        if len(moduli) > (block := SCREEN_BLOCK * len(self.models)):
-            parts = (self.bracket(moduli[i : i + block]) for i in range(0, len(moduli), block))
-            return tuple(np.concatenate(part, axis=-1) for part in zip(*parts))
-        k = len(self._columns)
+        k, width = len(self._columns), self.points.shape[-1]
         # One empty (nan) slot at least: a call before any solve bounds nothing.
-        points = self.points[..., None, :, : min(max(self.pushes.max(), 1), SCREEN_RING)]
-        # Rows as (9, windows, P, 1) against rings as (9, 1, P, slots).
-        rows = moduli.reshape(-1, len(self.models), 9).transpose(2, 0, 1)[..., None]
-        ratio = rows / points[:9]
-        alpha, beta = ratio.min(axis=0), ratio.max(axis=0)
-        slack = beta * points[-1]
-        low = alpha * points[9 : 9 + k] - slack
-        high = beta * points[9 + k : 9 + 2 * k] + slack
-        # fmax and fmin skip nan: empty slots and failed rows bound nothing.
-        low, high = np.fmax.reduce(low, axis=3), np.fmin.reduce(high, axis=3)
-        return low.reshape(k, -1), high.reshape(k, -1), np.fmin.reduce(slack, axis=2).ravel()
+        points = self.points[:, : min(max(self.pushes.max(), 1), SCREEN_RING)]
+        rows = moduli.T.copy()  # (9, R): a block's rows lie side by side
+        low, high = np.empty((2, k, len(moduli)))
+        slack = np.empty(len(moduli))
+        for start in range(0, len(moduli), width):
+            part = slice(start, start + width)
+            block = rows[:, part]
+            ring = points[..., : block.shape[1]]
+            # Rows as (9, 1, b) against their rings as (9, slots, b).
+            ratio = block[:, None] / ring[:9]
+            alpha, beta = np.minimum.reduce(ratio), np.maximum.reduce(ratio)
+            gap = beta * ring[-1]
+            # fmax and fmin skip nan: empty slots and failed rows bound nothing.
+            np.fmax.reduce(alpha * ring[9 : 9 + k] - gap, axis=1, out=low[:, part])
+            np.fmin.reduce(beta * ring[9 + k : 9 + 2 * k] + gap, axis=1, out=high[:, part])
+            np.fmin.reduce(gap, axis=0, out=slack[part])
+        return low, high, slack
+
+    def _limit(self, threshold: np.ndarray) -> np.ndarray | None:
+        """What a row's squared residual sum must exceed to be skipped, per
+        particle of the (P,) thresholds (see SCREEN_MARGIN); None before any
+        particle has scored, when nothing can be bounded. A run's thresholds
+        change only when a personal best does, so the last is kept."""
+        if (key := threshold.tobytes()) != self._limits[0]:
+            limit = None
+            if not np.isnan(threshold).all():
+                limit = threshold + SCREEN_MARGIN * np.maximum(1.0, np.abs(threshold))
+                if self.kind == "AIC":
+                    n = len(self._lam)
+                    limit = n * np.exp((limit - self._penalty) / n)
+                else:
+                    limit = 2.0 * limit
+            self._limits = (key, limit)
+        return self._limits[1]
 
     def _cannot_improve(self, moduli, threshold) -> np.ndarray:
         """Which rows of (k P, 9) class moduli are proven unable to beat
         their particle's entry of the (P,) thresholds."""
-        if np.isnan(threshold).all():  # no particle has scored: nothing to bound
+        if (limit := self._limit(threshold)) is None:
             return np.zeros(len(moduli), dtype=bool)
         low, high, slack = self.bracket(moduli)
-        lam = np.minimum(np.maximum(self._lam, low[1:]), high[1:])
+        n = len(self._lam)
+        lam = np.minimum(np.maximum(self._lam, low[-n:]), high[-n:])
         # Nan brackets (no point kept) give nan sums, which skip nothing.
         r = np.where(lam != self._lam, self._measured - frequencies_from_eigenvalues(lam), 0.0)
         total = (r * r).sum(axis=0).reshape(-1, len(threshold))
-        limit = threshold + SCREEN_MARGIN * np.maximum(1.0, np.abs(threshold))
         if self.kind == "AIC":
-            n = len(r)
             total = np.maximum(total, n * SIGMA_SQ_FLOOR)
-            limit = n * np.exp((limit - self._penalty) / n)
-        else:
-            limit = 2.0 * limit
         # Rigid eigenvalues lie within `slack` of 0, lam_6 above low[0]: six.
         return (total > limit).ravel() & (slack < RIGID_BODY_RATIO * low[0])
 
@@ -588,18 +616,21 @@ class _Screen:
         ring."""
         lam, tau = spectra[:, self._columns], SCREEN_SLACK * spectra[:, -1:]
         fields = (moduli, lam - tau, lam + tau, SCREEN_SLACK * (spectra[:, -1:] + tau))
-        point = np.concatenate(fields, axis=1).T
+        point = np.concatenate(fields, axis=1).T[..., None]
         if not self.pushes.any():
-            self.points[..., : len(rows)] = point[:, None]
+            self.points[:, : len(rows)] = point
             self.pushes[:] = len(rows)
         else:
             # A window may solve a particle once per iteration, so each row
             # takes the slot after the particle's previous row.
-            particles, pushes, slots = rows % len(self.pushes), self.pushes.tolist(), []
+            n = len(self.pushes)
+            particles, pushes, slots = rows % n, self.pushes.tolist(), []
             for i in particles.tolist():
                 slots.append(pushes[i] % SCREEN_RING)
                 pushes[i] += 1
-            self.points[:, particles, slots] = point
+            # The slot in every copy of the particle's ring.
+            columns = particles[:, None] + n * np.arange(SCREEN_BLOCK)
+            self.points[:, np.array(slots)[:, None], columns] = point
             self.pushes[:] = pushes
 
 

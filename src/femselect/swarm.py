@@ -305,9 +305,11 @@ def clamp_velocity(raw: np.ndarray, v_min: float, v_max: float) -> np.ndarray:
     """Clip each component to [-v_max, v_max], then push any component
     whose magnitude fell below v_min back out to v_min, keeping its sign
     (a zero counts as positive)."""
-    clipped = np.minimum(np.maximum(raw, -v_max), v_max)
-    floor = np.where(clipped >= 0.0, v_min, -v_min)
-    return np.where(np.abs(clipped) < v_min, floor, clipped)
+    # Clipping does not change a sign, so with 0 < v_min < v_max (as
+    # `SwarmConfig.validate` requires) each sign's components are clipped to
+    # its own band, [v_min, v_max] or [-v_max, -v_min]: six ufuncs, not seven.
+    positive = np.minimum(np.maximum(raw, v_min), v_max)
+    return np.where(raw >= 0.0, positive, np.maximum(np.minimum(raw, -v_min), -v_max))
 
 
 def _log(failures, errors, particles: tuple[ModelSpec, ...], iteration: int, rows: int) -> None:

@@ -138,6 +138,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigParseError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100000 + "]" * 100000, '{"seed": ' + "7" * 5000 + "}", b"{\xff}"]
+    )
+    def test_every_failure_to_load_the_json_names_the_file(self, tmp_path, text):
+        # Past the recursion limit, past int()'s digit limit and in bytes
+        # that are not UTF-8, loading raises no JSONDecodeError.
+        path = tmp_path / "broken.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ConfigParseError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -524,7 +536,8 @@ def objective_bound_skips(screen, moduli, threshold):
     bounds and the rows to skip."""
     low, high, slack = screen.bracket(moduli)
     measured = screen.evaluator.measured.frequencies_hz[:, None]
-    f_low, f_high = (frequencies_from_eigenvalues(bound[1:]) for bound in (low, high))
+    # Rows: index 6, then the measured ranks as the last len(measured).
+    f_low, f_high = (frequencies_from_eigenvalues(bound[-len(measured) :]) for bound in (low, high))
     r = measured - np.minimum(np.maximum(measured, f_low), f_high)
     bound = (aic if screen.kind == "AIC" else sse)(r.T, screen.plan[0]).value
     margin = 1e-9 * np.maximum(1.0, np.abs(threshold))
@@ -555,7 +568,9 @@ class TestScreen:
         # a new point: drawn the same way, or the first point moved by a
         # relative `spread`, where the slack alone must cover the roundoff.
         screen = runner._Screen(evaluator, "AIC")
-        columns = np.concatenate([[6], evaluator._ranks])
+        # Index 6 and the measured ranks, rank 7 being index 6 itself.
+        columns = np.union1d([6], evaluator._ranks)
+        assert columns.tolist() == [6, 7, 9, 10, 12]
         draws = in_bound_positions(100 + seed, 8 * 6).reshape(6, 8, 5)
         for positions in draws[:-1]:
             screen(catalog, positions[None], np.full(8, math.nan))
@@ -719,8 +734,12 @@ class TestScreen:
         screen(catalog, window, np.full(8, math.nan))
         assert np.all(screen.pushes == 8 + 3)
         moduli = evaluator._class_moduli(window, screen.plan)
+        # Field x slot x column, particle p's ring in columns p, p + 8, ...
+        assert screen.points.shape == (20, runner.SCREEN_RING, 8 * runner.SCREEN_BLOCK)
         for r in range(3 * 8):
-            assert np.array_equal(screen.points[:9, r % 8, 8 + r // 8], moduli[r])
+            for copy in range(runner.SCREEN_BLOCK):
+                column = r % 8 + 8 * copy
+                assert np.array_equal(screen.points[:9, 8 + r // 8, column], moduli[r])
 
     @pytest.mark.parametrize("shape", [(3, 7, 5), (24, 5), (1, 1, 8, 5)])
     def test_a_window_of_other_particles_is_rejected_by_its_shape(self, evaluator, catalog, shape):
@@ -771,6 +790,123 @@ class TestScreen:
             rows = slice(8 * j, 8 * j + 8)
             for whole, alone in zip(together, screen.bracket(moduli[rows])):
                 assert np.array_equal(whole[..., rows], alone)
+
+    @pytest.mark.parametrize("iterations", [1, 4, 5, 16])
+    @pytest.mark.parametrize("windows", [1, 3])
+    def test_bracket_equals_a_loop_over_rows_and_kept_points(
+        self, evaluator, catalog, windows, iterations
+    ):
+        # A first batch, then `windows` windows of 16 iterations, every row
+        # solved: 24 points per particle (a ring partly filled) or 56 (a
+        # full ring that has wrapped). Then the bracket of a window of
+        # `iterations` iterations, on either side of SCREEN_BLOCK, against
+        # the formula row by row and kept point by kept point in floats.
+        screen = runner._Screen(evaluator, "AIC")
+        plan = evaluator._plan(tuple(catalog))
+        first = in_bound_positions(0)[None]
+        screen(catalog, first, np.full(8, math.nan))
+        kept = [list(evaluator._class_moduli(first, plan)) for _ in catalog]  # in every ring
+        for w in range(windows):
+            window = in_bound_positions(1 + w, 16 * 8).reshape(16, 8, 5)
+            screen(catalog, window, np.full(8, math.nan))
+            for r, row in enumerate(evaluator._class_moduli(window, plan)):
+                kept[r % 8].append(row)
+        assert np.all(screen.pushes == 8 + 16 * windows)
+        rings = [np.array(points[-runner.SCREEN_RING :]) for points in kept]
+        window = in_bound_positions(10, iterations * 8).reshape(iterations, 8, 5)
+        moduli = evaluator._class_moduli(window, plan)
+
+        eps, columns = runner.SCREEN_SLACK, [6, 7, 9, 10, 12]
+        expected = np.empty((2 * len(columns) + 1, len(moduli)))
+        for p, ring in enumerate(rings):
+            spectra = evaluator._eigenvalues(ring)[0]
+            points = []
+            for point, spectrum in zip(ring.tolist(), spectra.tolist()):
+                tau = eps * spectrum[-1]
+                lam = [spectrum[c] for c in columns]
+                points.append((point, [x - tau for x in lam], [x + tau for x in lam],
+                               eps * (spectrum[-1] + tau)))
+            for r in range(p, len(moduli), 8):
+                lows, highs, gaps = [], [], []
+                for point, low, high, slack in points:
+                    ratios = [a / b for a, b in zip(moduli[r].tolist(), point)]
+                    alpha, beta = min(ratios), max(ratios)
+                    gap = beta * slack
+                    lows.append([alpha * x - gap for x in low])
+                    highs.append([beta * x + gap for x in high])
+                    gaps.append(gap)
+                expected[:, r] = [*map(max, zip(*lows)), *map(min, zip(*highs)), min(gaps)]
+
+        low, high, slack = screen.bracket(moduli)
+        assert low.shape == high.shape == (5, len(moduli)) and slack.shape == (len(moduli),)
+        bracket = np.concatenate([low, high, slack[None]])
+        assert bracket.tobytes() == expected.tobytes()
+
+    def test_two_column_rigid_test_flags_as_the_full_count(self, evaluator, catalog, monkeypatch):
+        # Crafted ascending spectra with 6, 5 and 7 eigenvalues below
+        # t = 1e-6 lam[6] (index 6), 5 with lam[5] = t itself, and a row whose
+        # solve fails (nan), scored one at a time and all together: `_score`
+        # names the same rows as `free_free_frequencies` on the whole
+        # spectrum, with its messages, and a failed row keeps its
+        # ConvergenceError.
+        real = evaluator.spectrum(element_modulus_vector(catalog[0], np.full(5, 6.5e10)))
+        base = (2.0 * np.pi * real.frequencies_hz) ** 2
+        spectra = np.tile(base, (6, 1))
+        spectra[0, :6] = np.linspace(-1e-3, 1e-3, 6)  # six
+        spectra[1, 5] = 1e-3 * base[6]  # five
+        spectra[2, :7] = np.arange(-7.0, 0.0)  # seven: lam[6] < 0, so t < 0
+        spectra[3, 5] = 1e-6 * base[6]  # five: lam[5] is not below t
+        spectra[4, :7] = -np.arange(7.0, 0.0, -1.0) * 1e-9  # seven, tiny
+        spectra[5] = math.nan  # the solve fails
+        assert np.all(np.diff(spectra[:5], axis=1) >= 0.0)
+        found = {1: 5, 2: 7, 3: 5, 4: 7}
+        served = {}
+
+        def generalized(blocks):
+            if blocks[0].ndim == 4:  # a batch; one failed row fails it
+                if np.isnan(served["rows"]).any():
+                    raise ConvergenceError("batch did not converge")
+                return served["rows"]
+            row = served["rows"][served["next"]]  # then each row alone
+            served["next"] += 1
+            if np.isnan(row).any():
+                raise ConvergenceError("row did not converge")
+            return row
+
+        monkeypatch.setattr(runner, "generalized_eigenvalues", generalized)
+        d = np.ones(6, dtype=int)
+        moduli = np.full((6, 9), 6.5e10)
+        for rows in [[i] for i in range(6)] + [list(range(6))]:
+            served.update(rows=spectra[rows], next=0)
+            score, errors, eigenvalues = evaluator._score(moduli[rows], d[rows], "AIC")
+            assert np.array_equal(eigenvalues, spectra[rows], equal_nan=True)
+            expected = free_free_frequencies(spectra[rows])[1]
+            assert sorted(errors) == sorted(expected)
+            for i, row in enumerate(rows):
+                if row == 5:
+                    assert type(errors[i]) is ConvergenceError
+                    assert str(errors[i]) == "row did not converge"
+                elif row:
+                    assert type(errors[i]) is StructureError
+                    assert str(errors[i]) == str(expected[i])
+                    assert str(errors[i]).endswith(f"found {found[row]}")
+            assert np.isfinite(score.value).tolist() == [row == 0 for row in rows]
+
+    def test_rows_solved_per_preset_are_pinned(self, evaluator, monkeypatch):
+        # The rows that reach `_score` in 100-iteration runs at seed 0. A
+        # change to the screen that skips fewer rows, or more, shows here.
+        real, rows = ModelEvaluator._score, []
+
+        def counted(self, class_moduli, *args):
+            rows[-1] += len(class_moduli)
+            return real(self, class_moduli, *args)
+
+        monkeypatch.setattr(ModelEvaluator, "_score", counted)
+        for preset in (1, 2, 3, 4):
+            rows.append(0)
+            config = dataclasses.replace(preset_config(preset, seed=0).swarm, n_iterations=100)
+            swarm.run(config, runner._Screen(evaluator, config.objective_kind))
+        assert rows == [134, 134, 192, 200]
 
     @pytest.mark.parametrize("preset", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1303,6 +1439,10 @@ class TestCli:
             '"v_min": 1.0, "c1": 0.1, "c2": 0.1, "init_mean": 1.2e308}}',
             # Refused at allocation, before any memory is touched.
             '{"preset": 1, "swarm": {"n_iterations": 1000000000000000}}',
+            # json.loads fails past the recursion limit and past the digit
+            # limit of int(), with errors that are not JSONDecodeError.
+            "[" * 100000 + "]" * 100000,
+            '{"seed": ' + "7" * 5000 + "}",
         ],
     )
     def test_malformed_config_values_exit_two(self, tmp_path, capsys, text):
