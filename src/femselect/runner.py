@@ -514,6 +514,17 @@ class _Screen:
     threshold sets (see SCREEN_MARGIN), and whose bracket proves the six
     rigid modes, comes back +inf, unsolved. `ModelEvaluator._score` solves
     every other row, as `evaluate_batch` does. Every run scores through it.
+
+    A row that repeats a point solved earlier in the run, such as a
+    particle parked on its personal best, is answered from the run's memo
+    and not solved again. The memo keys on the particle and the bytes of
+    the row's class moduli, all a row's score depends on (its d is its
+    particle's), and holds the score and the eigensolver error, or None,
+    that the first solve gave. A row's score does not depend on the other
+    rows of its batch, and a failed batch is re-solved one row at a time,
+    so an answer is bit for bit what a new solve returns, failures
+    included. Only solved rows enter the rings, so they hold distinct
+    points.
     """
 
     def __init__(self, evaluator: ModelEvaluator, objective_kind: ObjectiveKind):
@@ -537,6 +548,8 @@ class _Screen:
         shape = (10 + 2 * len(self._columns), SCREEN_RING, SCREEN_BLOCK * len(models))
         self.points = np.full(shape, math.nan)
         self.pushes = np.zeros(len(models), dtype=int)
+        # (particle, class moduli bytes) -> (score, eigensolver error or None)
+        self.solved: dict[tuple[int, bytes], tuple[float, EigenSolveError | None]] = {}
 
     def __call__(self, models, positions, threshold):
         if models is not self.models:
@@ -547,11 +560,22 @@ class _Screen:
         rows = np.flatnonzero(~self._cannot_improve(moduli, threshold))
         if not rows.size:
             return values, {}
-        d = self.plan[0][rows % len(models)]
-        score, errors, spectra = self.evaluator._score(moduli[rows], d, self.kind)
-        values[rows] = score.value
-        self._keep(rows, moduli[rows], spectra)
-        return values, {int(rows[i]): error for i, error in errors.items()}
+        n, solved, rows = len(models), self.solved, rows.tolist()
+        keys = [(r % n, moduli[r].tobytes()) for r in rows]
+        new = {}  # each point not solved before, at its first row in the call
+        for key, r in zip(keys, rows):
+            if key not in solved:
+                new.setdefault(key, r)
+        if new:
+            fresh = np.array(list(new.values()))
+            points, d = moduli[fresh], self.plan[0][fresh % n]
+            score, errors, spectra = self.evaluator._score(points, d, self.kind)
+            for i, (key, value) in enumerate(zip(new, score.value.tolist())):
+                solved[key] = (value, errors.get(i))
+            self._keep(fresh, points, spectra)
+        answers = [solved[key] for key in keys]
+        values[rows] = [value for value, _ in answers]
+        return values, {r: e for r, (_, e) in zip(rows, answers) if e is not None}
 
     def bracket(self, moduli: np.ndarray) -> tuple[np.ndarray, ...]:
         """Bounds (k, R) on the computed eigenvalues at the kept columns of

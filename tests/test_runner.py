@@ -495,36 +495,56 @@ class TestEvaluateBatch:
         self, tmp_path, monkeypatch
     ):
         # Stack row 3 fails in every call that solves four rows or more.
-        # Once the screen skips rows it is not particle 4's row, and in a
-        # window of several iterations it need not be the first iteration's:
-        # the failure goes to the particle and iteration whose row it is, and
-        # only the failure of an iteration the window keeps is logged.
-        solved, starts = [], [0]
-        real_skip, real_window = runner._Screen._cannot_improve, swarm._window
+        # The stack is the rows `_score` receives: not the rows the screen
+        # skips, nor the repeats it answers from its memo. So it is not
+        # particle 4's row, and in a window of several iterations it need not
+        # be the first iteration's: the failure goes to the particle and
+        # iteration whose row it is, and only the failure of an iteration the
+        # window keeps is logged. A repeat of a failed point is answered with
+        # its error, so it is logged again at its own iteration, as a
+        # deterministic LAPACK failure would be.
+        calls, starts = [], [0]
+        real_skip, real_keep = runner._Screen._cannot_improve, runner._Screen._keep
+        real_window = swarm._window
 
         def recorded(screen, moduli, threshold):
             skip = real_skip(screen, moduli, threshold)
-            solved.append(np.flatnonzero(~skip))
+            calls.append([moduli, np.flatnonzero(~skip).tolist(), []])
             return skip
+
+        def keep(screen, rows, moduli, spectra):
+            # The rows pushed are the rows `_score` received, in its order.
+            assert np.array_equal(moduli, scored[-1])
+            calls[-1][2] = rows.tolist()
+            return real_keep(screen, rows, moduli, spectra)
 
         def window(state, *args):
             starts.append(state.iteration + 1)
             return real_window(state, *args)
 
         monkeypatch.setattr(runner._Screen, "_cannot_improve", recorded)
+        monkeypatch.setattr(runner._Screen, "_keep", keep)
+        scored = scored_rows(monkeypatch)
         monkeypatch.setattr(swarm, "_window", window)
         monkeypatch.setattr(np.linalg, "eigvalsh", FailingEigvalsh(3))
         n = 40
         record = run_experiment(tiny_config(tmp_path, n_iterations=n, seed=0))
-        charged, dropped, later = [], [], False
-        for start, end, rows in zip(starts, [*starts[1:], n + 1], solved):
-            if len(rows) > 3:
-                iteration, particle = start + int(rows[3]) // 8, int(rows[3]) % 8
-                (charged if iteration < end else dropped).append((iteration, particle + 1))
-                later |= start < iteration < end
+        assert len(scored) == sum(1 for *_, stack in calls if stack)
+        failed, charged, dropped, later, repeats = set(), [], [], False, 0
+        for start, end, (moduli, rows, stack) in zip(starts, [*starts[1:], n + 1], calls):
+            bad = stack[3] if len(stack) > 3 else None
+            if bad is not None:
+                failed.add((bad % 8, moduli[bad].tobytes()))
+                later |= start < start + bad // 8 < end
+            for r in rows:
+                if (r % 8, moduli[r].tobytes()) in failed:
+                    iteration = start + r // 8
+                    (charged if iteration < end else dropped).append((iteration, r % 8 + 1))
+                    repeats += iteration < end and r != bad
         assert [(f.iteration, f.model_id) for f in record.failures] == charged
         assert charged[0] == (0, 4) and any(model != 4 for _, model in charged)
         assert later and dropped  # a kept failure past a window's first iteration, a dropped one
+        assert repeats  # a kept repeat of a failed point, logged again
         assert all("row 3 did not converge" in f.reason for f in record.failures)
 
 
@@ -543,6 +563,18 @@ def objective_bound_skips(screen, moduli, threshold):
     margin = 1e-9 * np.maximum(1.0, np.abs(threshold))
     skip = (bound > threshold + margin) & (slack < runner.RIGID_BODY_RATIO * low[0])
     return bound, skip
+
+
+def scored_rows(monkeypatch):
+    """A list that gets the class moduli of each `_score` call from now on."""
+    received, real = [], ModelEvaluator._score
+
+    def recorded(self, class_moduli, *args):
+        received.append(class_moduli.copy())
+        return real(self, class_moduli, *args)
+
+    monkeypatch.setattr(ModelEvaluator, "_score", recorded)
+    return received
 
 
 def unscreened(evaluator, kind):
@@ -893,20 +925,82 @@ class TestScreen:
             assert np.isfinite(score.value).tolist() == [row == 0 for row in rows]
 
     def test_rows_solved_per_preset_are_pinned(self, evaluator, monkeypatch):
-        # The rows that reach `_score` in 100-iteration runs at seed 0. A
-        # change to the screen that skips fewer rows, or more, shows here.
-        real, rows = ModelEvaluator._score, []
+        # The rows that reach `_score` in 100-iteration runs at seed 0, then
+        # in the 500-iteration preset 1 run of seed 326935, whose particles
+        # park on a bound corner that is their personal best: without the
+        # memo the screen re-solved each such row every iteration, 1,120
+        # rows in all. A change to the screen that skips fewer rows, or
+        # more, or solves a point twice, shows here.
+        received, rows = scored_rows(monkeypatch), []
+        runs = [(1, 0, 100), (2, 0, 100), (3, 0, 100), (4, 0, 100), (1, 326935, 500)]
+        for preset, seed, n in runs:
+            received.clear()
+            config = dataclasses.replace(preset_config(preset, seed=seed).swarm, n_iterations=n)
+            screen = runner._Screen(evaluator, config.objective_kind)
+            swarm.run(config, screen)
+            rows.append(sum(map(len, received)))
+            # One memo entry per row solved: no point is solved twice.
+            assert len(screen.solved) == rows[-1]
+        assert rows == [127, 127, 173, 185, 242]
 
-        def counted(self, class_moduli, *args):
-            rows[-1] += len(class_moduli)
-            return real(self, class_moduli, *args)
+    def test_a_parked_particle_is_answered_from_the_memo(self, evaluator, catalog, monkeypatch):
+        # Particle 3 sits on the point it solved first, its personal best,
+        # for a whole window. The threshold ties its score, so the bracket
+        # cannot skip those rows; the memo answers them, bit for bit.
+        screen = runner._Screen(evaluator, "AIC")
+        first = in_bound_positions(5)
+        values, _ = screen(catalog, first[None], np.full(8, math.nan))
+        received = scored_rows(monkeypatch)
+        window = in_bound_positions(6, 4 * 8).reshape(4, 8, 5)
+        window[:, 3] = first[3]
+        threshold = np.full(8, math.nan)
+        threshold[3] = values[3]
+        again, errors = screen(catalog, window, threshold)
+        parked = evaluator._class_moduli(first[None], screen.plan)[3]
+        (rows,) = received
+        assert errors == {} and len(rows) == 4 * 7
+        assert not any(np.array_equal(row, parked) for row in rows)
+        exact, _ = evaluator.evaluate_batch((catalog[3],), first[3][None], "AIC")
+        assert again[3::8].tobytes() == np.full(4, exact.value[0]).tobytes()
+        assert again[3::8].tobytes() == np.full(4, values[3]).tobytes()
+        assert np.all(screen.pushes == 8 + np.where(np.arange(8) == 3, 0, 4))
 
-        monkeypatch.setattr(ModelEvaluator, "_score", counted)
-        for preset in (1, 2, 3, 4):
-            rows.append(0)
-            config = dataclasses.replace(preset_config(preset, seed=0).swarm, n_iterations=100)
-            swarm.run(config, runner._Screen(evaluator, config.objective_kind))
-        assert rows == [134, 134, 192, 200]
+    def test_repeats_within_a_window_are_solved_once(self, evaluator, catalog, monkeypatch):
+        screen = runner._Screen(evaluator, "SSE")
+        screen(catalog, in_bound_positions(0)[None], np.full(8, math.nan))
+        received = scored_rows(monkeypatch)
+        positions = in_bound_positions(1)
+        values, _ = screen(catalog, np.stack([positions] * 3), np.full(8, math.nan))
+        (rows,) = received
+        exact, _ = evaluator.evaluate_batch(catalog, positions, "SSE")
+        assert np.array_equal(rows, evaluator._class_moduli(positions[None], screen.plan))
+        assert values.tobytes() == np.tile(exact.value, 3).tobytes()
+        # Only the rows solved are pushed: one slot per particle.
+        assert np.all(screen.pushes == 8 + 1) and len(screen.solved) == 16
+
+    def test_the_memo_keys_on_the_particle(self, evaluator, catalog, monkeypatch):
+        # m1 at E and m2 at (E, E) give equal class moduli, but m2 has one
+        # more parameter: AIC values exactly 2 apart, both solved.
+        models = (catalog[0], catalog[1])
+        positions = np.full((1, 2, 5), 6.3e10)
+        screen = runner._Screen(evaluator, "AIC")
+        moduli = evaluator._class_moduli(positions, evaluator._plan(models))
+        assert np.array_equal(moduli[0], moduli[1])
+        received = scored_rows(monkeypatch)
+        values, _ = screen(models, positions, np.full(2, math.nan))
+        assert [len(rows) for rows in received] == [2]
+        assert values[1] - values[0] == 2.0
+
+    def test_another_models_tuple_solves_again(self, evaluator, catalog, monkeypatch):
+        # Another particle tuple starts a new run, with an empty memo, even
+        # one of the same models.
+        screen = runner._Screen(evaluator, "AIC")
+        positions = in_bound_positions(8)[None]
+        first, _ = screen(catalog, positions, np.full(8, math.nan))
+        received = scored_rows(monkeypatch)
+        again, _ = screen((*catalog,), positions, np.full(8, math.nan))
+        assert [len(rows) for rows in received] == [8]
+        assert again.tobytes() == first.tobytes() and len(screen.solved) == 8
 
     @pytest.mark.parametrize("preset", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1])
