@@ -287,10 +287,6 @@ class MeasuredData:
         if any(b <= a for a, b in zip(self.mode_indices, self.mode_indices[1:])):
             raise ValueError("mode_indices must be strictly increasing")
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.mode_indices)
-
 
 def measured_data() -> MeasuredData:
     """The five measured frequencies of the suspended H-beam."""

@@ -1,20 +1,23 @@
 """Generalized symmetric eigensolution and natural-frequency extraction.
 
 Two paths solve K phi = lambda M phi. The dense path (LAPACK via scipy)
-factors the full M, verifies the residual contract on the returned pairs,
-and is the reference for the tests and the benchmark's output checks; no
-run calls it. The planar path serves fitness, `describe` and mode shapes
-and uses numpy alone: a frame lying in the z = 0 plane decouples exactly
-into in-plane (ux, uy, rz) and out-of-plane (uz, rx, ry) DOFs, so each
-half is pre-whitened once by the inverse square root of its own mass
-block. A frame that is also symmetric about y = 0, with mirror partners
+factors the full M and is the reference for the tests and the benchmark's
+output checks; no run calls it. Of its two entry points only
+`solve_generalized_eigen`, which returns the pairs, verifies the residual
+contract on them; `natural_frequencies` solves for eigenvalues alone and
+checks no residual. The planar path serves fitness, `describe` and mode
+shapes and uses numpy alone: a frame lying in the z = 0 plane decouples
+exactly into in-plane (ux, uy, rz) and out-of-plane (uz, rx, ry) DOFs,
+so each half is pre-whitened once by the inverse square root of its own
+mass block. A frame that is also symmetric about y = 0, with mirror partners
 sharing one modulus, splits each whitened half once more into the DOF
 combinations the mirror keeps and those it negates, so every candidate
 costs four standard symmetric eigenvalue solves of about a quarter of the
 size. A block eigenvector maps back to a mode shape through its plane's
 mass root and mirror basis. scipy is imported only inside the dense
 functions, so no run loads it. Rigid-body modes are detected by a
-scale-free eigenvalue ratio against the seventh-smallest eigenvalue.
+scale-free eigenvalue ratio against the seventh-smallest eigenvalue, and
+`rigid_mode_errors` alone decides whether a spectrum shows six of them.
 """
 
 from __future__ import annotations
@@ -67,11 +70,10 @@ class StructureError(EigenSolveError):
 @dataclass(frozen=True)
 class ModalResult:
     """Ascending natural frequencies of an assembled system, with the
-    rigid-body cluster counted; mode shapes included only when requested."""
+    rigid-body cluster counted."""
 
     frequencies_hz: np.ndarray
     rigid_body_count: int
-    mode_shapes: np.ndarray | None = None
 
 
 def _check_pair(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,16 +93,33 @@ def _require_positive_definite(m: np.ndarray) -> None:
         raise DecompositionError(f"mass matrix is not positive definite: {exc}") from exc
 
 
-def rigid_body_count(eigenvalues: np.ndarray) -> int | np.ndarray:
-    """Modes whose eigenvalue falls below RIGID_BODY_RATIO times the
-    seventh-smallest eigenvalue. Zero when fewer than seven modes exist.
-    A (P, n) stack of ascending spectra gives a (P,) array of counts."""
-    eigenvalues = np.asarray(eigenvalues)
-    if eigenvalues.shape[-1] < _EXPECTED_RIGID_MODES + 1:
-        return 0 if eigenvalues.ndim == 1 else np.zeros(eigenvalues.shape[0], dtype=int)
-    threshold = RIGID_BODY_RATIO * eigenvalues[..., _EXPECTED_RIGID_MODES]
-    counts = np.sum(eigenvalues < threshold[..., None], axis=-1)
-    return int(counts) if eigenvalues.ndim == 1 else counts
+def rigid_body_count(eigenvalues: np.ndarray) -> int:
+    """Modes of one ascending spectrum whose eigenvalue falls below
+    RIGID_BODY_RATIO times the seventh-smallest eigenvalue. Zero when
+    fewer than seven modes exist."""
+    if len(eigenvalues) < _EXPECTED_RIGID_MODES + 1:
+        return 0
+    return int(np.sum(eigenvalues < RIGID_BODY_RATIO * eigenvalues[_EXPECTED_RIGID_MODES]))
+
+
+def rigid_mode_errors(eigenvalues: np.ndarray) -> dict[int, StructureError]:
+    """A StructureError for each row of a (P, n) stack of ascending
+    spectra, n > 6, that does not show exactly six rigid-body modes.
+
+    In an ascending row the count below t = RIGID_BODY_RATIO lam[6] is six
+    iff lam[5] < t and not lam[6] < t, so two columns decide every row;
+    only a failing row, nan rows included, is counted in full to name it.
+    """
+    lam_5, lam_6 = eigenvalues[:, 5], eigenvalues[:, 6]
+    t = RIGID_BODY_RATIO * lam_6
+    six = (lam_5 < t) & ~(lam_6 < t)
+    return {
+        i: StructureError(
+            f"expected {_EXPECTED_RIGID_MODES} rigid-body modes, "
+            f"found {rigid_body_count(eigenvalues[i])}"
+        )
+        for i in np.flatnonzero(~six).tolist()
+    }
 
 
 def solve_generalized_eigen(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,16 +161,6 @@ def solve_generalized_eigen(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, n
             achieved=worst,
         )
     return eigenvalues, eigenvectors
-
-
-def _dense_eigenvalues(k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-
-    k, m = _check_pair(k, m)
-    try:
-        return scipy.linalg.eigh(k, m, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense symmetric solver did not converge: {exc}") from exc
 
 
 def planar_dof_split(n_dofs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,19 +352,18 @@ def rigid_body_modes(nodes: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.linalg.cholesky(fields @ m @ fields.T), fields)
 
 
-def generalized_eigenvalues(blocks: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
+def generalized_eigenvalues(blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     """Ascending eigenvalues of a pair from its standard-form blocks; the
     fast path for fitness evaluations.
 
-    `blocks` is one (2, n, n) array, as made by `planar_standard_form`,
-    or a tuple of block arrays, as made by `mirror_standard_form`; the
-    eigenvalues of every block are merged. A leading (P,) axis on every
-    array solves P pairs in one call and gives (P, total); the solve of
-    each block does not depend on the stack around it.
+    `blocks` is a tuple of block arrays, as made by `mirror_standard_form`
+    (the two planar blocks of `planar_standard_form` pass as a tuple of
+    one); the eigenvalues of every block are merged. A leading (P,) axis
+    on every array solves P pairs in one call and gives (P, total); the
+    solve of each block does not depend on the stack around it.
     """
-    stacks = (blocks,) if isinstance(blocks, np.ndarray) else blocks
     try:
-        per_stack = [np.linalg.eigvalsh(stack) for stack in stacks]
+        per_stack = [np.linalg.eigvalsh(stack) for stack in blocks]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"planar symmetric solver did not converge: {exc}") from exc
     merged = np.concatenate([v.reshape(*v.shape[:-2], -1) for v in per_stack], axis=-1)
@@ -369,50 +377,35 @@ def frequencies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(eigenvalues, 0.0)) / (2.0 * np.pi)
 
 
-def free_free_frequencies(
-    eigenvalues: np.ndarray,
-) -> tuple[np.ndarray, dict[int, StructureError]]:
-    """Frequencies of a (P, n) stack of ascending free-free spectra, with
-    a StructureError for each row that does not show exactly six
-    rigid-body modes."""
-    counts = rigid_body_count(eigenvalues)
-    errors = {
-        int(i): StructureError(
-            f"expected {_EXPECTED_RIGID_MODES} rigid-body modes, found {counts[i]}"
-        )
-        for i in np.flatnonzero(counts != _EXPECTED_RIGID_MODES)
-    }
-    return frequencies_from_eigenvalues(eigenvalues), errors
-
-
-def free_free_result(
-    eigenvalues: np.ndarray, mode_shapes: np.ndarray | None = None
-) -> ModalResult:
+def free_free_result(eigenvalues: np.ndarray) -> ModalResult:
     """Frequencies of an ascending free-free spectrum.
 
     Raises StructureError unless exactly six rigid-body modes are present.
     """
-    frequencies, errors = free_free_frequencies(np.asarray(eigenvalues)[None])
-    if errors:
+    if errors := rigid_mode_errors(eigenvalues[None]):
         raise errors[0]
     return ModalResult(
-        frequencies_hz=frequencies[0],
+        frequencies_hz=frequencies_from_eigenvalues(eigenvalues),
         rigid_body_count=_EXPECTED_RIGID_MODES,
-        mode_shapes=mode_shapes,
     )
 
 
-def natural_frequencies(system: GlobalSystem, with_shapes: bool = False) -> ModalResult:
+def natural_frequencies(system: GlobalSystem) -> ModalResult:
     """Full ascending frequency list of an assembled free-free system, by
-    the dense solve of the whole pair.
+    the dense eigenvalue-only solve of the whole pair; no residual is
+    checked (`solve_generalized_eigen` returns shapes and checks them).
 
     Raises StructureError unless exactly six rigid-body modes are present.
     """
-    if with_shapes:
-        eigenvalues, eigenvectors = solve_generalized_eigen(system.k_global, system.m_global)
-        return free_free_result(eigenvalues, eigenvectors)
-    _require_positive_definite(system.m_global)
-    return free_free_result(_dense_eigenvalues(system.k_global, system.m_global))
+    import scipy.linalg
+
+    k, m = _check_pair(system.k_global, system.m_global)
+    _require_positive_definite(m)
+    try:
+        eigenvalues = scipy.linalg.eigh(k, m, eigvals_only=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense symmetric solver did not converge: {exc}") from exc
+    return free_free_result(eigenvalues)
 
 
 def select_modes(result: ModalResult, measured: MeasuredData) -> np.ndarray:

@@ -17,7 +17,6 @@ from .beam_structure import MeasuredData
 
 ObjectiveKind = Literal["AIC", "SSE"]
 
-MODE_COUNT = 5
 SIGMA_SQ_FLOOR = 1e-12  # Hz^2, guards log(0) on a perfect fit
 
 

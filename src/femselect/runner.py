@@ -39,7 +39,6 @@ from .modal import (
     ConvergenceError,
     EigenSolveError,
     ModalResult,
-    free_free_frequencies,
     free_free_result,
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
@@ -48,6 +47,7 @@ from .modal import (
     mirror_standard_form,
     planar_standard_form,
     rigid_body_modes,
+    rigid_mode_errors,
 )
 from .objective import SIGMA_SQ_FLOOR, ObjectiveKind, ObjectiveValue, aic, residuals, sse
 from .swarm import RunRecord, SwarmConfig
@@ -423,12 +423,8 @@ class ModelEvaluator:
         """The exact score of any rows: (P, 9) class moduli and (P,) d ->
         scores, the errors of failed rows (nan scores) and the spectra."""
         eigenvalues, errors = self._eigenvalues(class_moduli)
-        # In an ascending spectrum the count below t = RIGID_BODY_RATIO lam[6]
-        # is six iff lam[5] < t and not lam[6] < t; only a row that fails it
-        # needs the count of them all, to name it.
-        t = RIGID_BODY_RATIO * eigenvalues[:, 6]
-        if not ((eigenvalues[:, 5] < t).all() and not (eigenvalues[:, 6] < t).any()):
-            errors = {**free_free_frequencies(eigenvalues)[1], **errors}
+        # A failed solve's error, not its nan row's structure error, names it.
+        errors = {**rigid_mode_errors(eigenvalues), **errors}
         r = residuals(self.measured, frequencies_from_eigenvalues(eigenvalues[:, self._ranks]))
         score = aic(r, d) if objective_kind == "AIC" else sse(r, d)
         if errors:
@@ -541,7 +537,6 @@ class _Screen:
         """Start a run of the particles `models`: their plan and empty rings."""
         self.models, self.plan = models, self.evaluator._plan(tuple(models))
         self._penalty = 2.0 * self.plan[0]
-        self._limits = (None, None)
         # Field x ring slot x column; fields: 9 class moduli, lam -/+ tau at
         # the kept columns, slack of a spectrum at most as high. Column i P + p
         # holds particle p's ring, for each iteration i of a block. Empty: nan.
@@ -604,19 +599,14 @@ class _Screen:
     def _limit(self, threshold: np.ndarray) -> np.ndarray | None:
         """What a row's squared residual sum must exceed to be skipped, per
         particle of the (P,) thresholds (see SCREEN_MARGIN); None before any
-        particle has scored, when nothing can be bounded. A run's thresholds
-        change only when a personal best does, so the last is kept."""
-        if (key := threshold.tobytes()) != self._limits[0]:
-            limit = None
-            if not np.isnan(threshold).all():
-                limit = threshold + SCREEN_MARGIN * np.maximum(1.0, np.abs(threshold))
-                if self.kind == "AIC":
-                    n = len(self._lam)
-                    limit = n * np.exp((limit - self._penalty) / n)
-                else:
-                    limit = 2.0 * limit
-            self._limits = (key, limit)
-        return self._limits[1]
+        particle has scored, when nothing can be bounded."""
+        if np.isnan(threshold).all():
+            return None
+        limit = threshold + SCREEN_MARGIN * np.maximum(1.0, np.abs(threshold))
+        if self.kind == "AIC":
+            n = len(self._lam)
+            return n * np.exp((limit - self._penalty) / n)
+        return 2.0 * limit
 
     def _cannot_improve(self, moduli, threshold) -> np.ndarray:
         """Which rows of (k P, 9) class moduli are proven unable to beat

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from femselect.modal import (
     planar_dof_split,
     planar_standard_form,
     rigid_body_count,
+    rigid_mode_errors,
     select_modes,
     solve_generalized_eigen,
 )
@@ -72,6 +74,35 @@ class TestRigidBodyCount:
         assert rigid_body_count(eig) == rigid_body_count(eig * 1e8) == 6
 
 
+class TestRigidModeErrors:
+    def test_two_columns_name_the_rows_the_full_count_rejects(self):
+        # Ascending spectra around t = 1e-6 lam[6]: six, five, lam[5] = t
+        # itself (five), lam[6] < 0 so t < 0 (seven, and eight), lam[6] = 0
+        # so t = 0 (six below it), and a failed solve (nan). Every row is
+        # judged as `rigid_body_count` counts it, alone and in the stack.
+        spectra = np.tile(np.concatenate([np.zeros(6), np.geomspace(1e3, 1e7, 14)]), (8, 1))
+        spectra[0, :6] = np.linspace(-1e-4, 1e-4, 6)
+        spectra[1, 5] = 1e-3 * spectra[1, 6]
+        spectra[2, 5] = RIGID_BODY_RATIO * spectra[2, 6]
+        spectra[3, :7] = np.arange(-7.0, 0.0)
+        spectra[4, :8] = -np.arange(8.0, 0.0, -1.0) * 1e-9
+        spectra[5, :7] = [-6e-9, -5e-9, -4e-9, -3e-9, -2e-9, -1e-9, 0.0]
+        spectra[6, :] = np.arange(1.0, 21.0)
+        spectra[7] = math.nan
+        assert np.all(np.diff(spectra[:7], axis=1) >= 0.0)
+        counts = [rigid_body_count(row) for row in spectra]
+        assert counts == [6, 5, 5, 7, 8, 6, 0, 0]
+        expected = {i: n for i, n in enumerate(counts) if n != 6}
+        errors = rigid_mode_errors(spectra)
+        assert list(errors) == list(expected)
+        for i, error in errors.items():
+            assert type(error) is StructureError
+            assert str(error) == f"expected 6 rigid-body modes, found {expected[i]}"
+        for i, row in enumerate(spectra):
+            alone = {j: str(e) for j, e in rigid_mode_errors(row[None]).items()}
+            assert alone == ({0: str(errors[i])} if i in expected else {})
+
+
 class TestSolver:
     def test_matches_general_driver_on_random_pairs(self):
         rng = np.random.default_rng(11)
@@ -110,7 +141,7 @@ class TestSolver:
     def test_fast_path_matches_full_solve(self, h_system):
         full, _ = solve_generalized_eigen(h_system.k_global, h_system.m_global)
         blocks = planar_standard_form(h_system.k_global[None], h_system.m_global)[0][0]
-        fast = generalized_eigenvalues(blocks)
+        fast = generalized_eigenvalues((blocks,))
         # elastic eigenvalues agree tightly; the rigid cluster is roundoff
         # noise in both drivers, so only its magnitude is checked
         np.testing.assert_allclose(fast[6:], full[6:], rtol=1e-10)
@@ -164,7 +195,7 @@ class TestPlanarSplit:
 
     def test_each_half_keeps_three_rigid_modes(self, h_system):
         blocks = planar_standard_form(h_system.k_global[None], h_system.m_global)[0][0]
-        spectrum = generalized_eigenvalues(blocks)
+        spectrum = generalized_eigenvalues((blocks,))
         threshold = RIGID_BODY_RATIO * spectrum[6]
         for block in blocks:
             assert int(np.sum(np.linalg.eigvalsh(block) < threshold)) == 3
@@ -255,7 +286,7 @@ class TestPlanarSplit:
         blocks = planar_standard_form(k[None], m)[0][0]
         ranks = slice(6, 13)
         np.testing.assert_allclose(
-            generalized_eigenvalues(blocks)[ranks],
+            generalized_eigenvalues((blocks,))[ranks],
             reference[ranks],
             rtol=0.0,
             atol=2.0 * np.finfo(float).eps * reference[-1],
@@ -274,7 +305,7 @@ class TestPlanarSplit:
         for position in positions:
             moduli = element_modulus_vector(model, position)
             blocks, _ = planar_standard_form(evaluator.stiffness(moduli)[None], evaluator.m_global)
-            reference = generalized_eigenvalues(blocks[0])
+            reference = generalized_eigenvalues((blocks[0],))
             mirror = (2.0 * np.pi * evaluator.spectrum(moduli).frequencies_hz) ** 2
             np.testing.assert_allclose(
                 mirror[ranks],
@@ -487,16 +518,17 @@ class TestNaturalFrequencies:
     def test_straight_beam_matches_analytical_bending(self, material, section):
         geometry = straight_beam_geometry()
         system = assemble(geometry, np.full(12, 7.2e10), material, section)
-        result = natural_frequencies(system, with_shapes=True)
-        assert result.rigid_body_count == 6
+        eigenvalues, shapes = solve_generalized_eigen(system.k_global, system.m_global)
+        assert rigid_body_count(eigenvalues) == 6
+        frequencies = frequencies_from_eigenvalues(eigenvalues)
 
         # pick out the modes deflecting along global y, the compliant plane
         soft = []
-        for i in range(6, len(result.frequencies_hz)):
-            translations = result.mode_shapes[:, i].reshape(-1, 6)[:, :3]
+        for i in range(6, len(frequencies)):
+            translations = shapes[:, i].reshape(-1, 6)[:, :3]
             fraction = np.sum(translations[:, 1] ** 2) / np.sum(translations**2)
             if fraction > 0.99:
-                soft.append(result.frequencies_hz[i])
+                soft.append(frequencies[i])
 
         analytic = (
             BETA_L**2
@@ -508,7 +540,6 @@ class TestNaturalFrequencies:
     def test_h_beam_has_six_rigid_modes(self, h_system):
         result = natural_frequencies(h_system)
         assert result.rigid_body_count == 6
-        assert result.mode_shapes is None
         np.testing.assert_allclose(result.frequencies_hz[:6], 0.0, atol=1e-2)
         assert np.all(np.diff(result.frequencies_hz) >= 0.0)
 
@@ -520,11 +551,6 @@ class TestNaturalFrequencies:
             [56.138239, 127.310193, 224.763536, 264.171059, 455.196343],
             rtol=1e-6,
         )
-
-    def test_shapes_returned_on_request(self, h_system):
-        result = natural_frequencies(h_system, with_shapes=True)
-        assert result.mode_shapes is not None
-        assert result.mode_shapes.shape == (78, 78)
 
     def test_constrained_system_is_rejected(self, h_system):
         # shifting K by alpha*M moves every eigenvalue up by alpha, which

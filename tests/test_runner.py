@@ -21,10 +21,10 @@ from femselect.fem import assemble
 from femselect.modal import (
     ConvergenceError,
     StructureError,
-    free_free_frequencies,
     frequencies_from_eigenvalues,
     generalized_eigenvalues,
     planar_dof_split,
+    rigid_body_count,
     solve_generalized_eigen,
 )
 from femselect.objective import aic, residuals, sse
@@ -355,9 +355,8 @@ def row_by_row_score(evaluator, model, position, kind):
         for stack in evaluator._mirror_blocks
     )
     eigenvalues = generalized_eigenvalues(blocks)
-    frequencies, errors = free_free_frequencies(eigenvalues[None])
-    assert errors == {}
-    r = residuals(evaluator.measured, frequencies[0, evaluator._ranks])
+    assert rigid_body_count(eigenvalues) == 6
+    r = residuals(evaluator.measured, frequencies_from_eigenvalues(eigenvalues)[evaluator._ranks])
     return aic(r, model.d) if kind == "AIC" else sse(r, model.d)
 
 
@@ -878,9 +877,8 @@ class TestScreen:
         # Crafted ascending spectra with 6, 5 and 7 eigenvalues below
         # t = 1e-6 lam[6] (index 6), 5 with lam[5] = t itself, and a row whose
         # solve fails (nan), scored one at a time and all together: `_score`
-        # names the same rows as `free_free_frequencies` on the whole
-        # spectrum, with its messages, and a failed row keeps its
-        # ConvergenceError.
+        # names the same rows as `rigid_body_count` of each whole spectrum,
+        # each with its count, and a failed row keeps its ConvergenceError.
         real = evaluator.spectrum(element_modulus_vector(catalog[0], np.full(5, 6.5e10)))
         base = (2.0 * np.pi * real.frequencies_hz) ** 2
         spectra = np.tile(base, (6, 1))
@@ -912,7 +910,8 @@ class TestScreen:
             served.update(rows=spectra[rows], next=0)
             score, errors, eigenvalues = evaluator._score(moduli[rows], d[rows], "AIC")
             assert np.array_equal(eigenvalues, spectra[rows], equal_nan=True)
-            expected = free_free_frequencies(spectra[rows])[1]
+            counts = [rigid_body_count(spectra[row]) for row in rows]
+            expected = {i: count for i, count in enumerate(counts) if count != 6}
             assert sorted(errors) == sorted(expected)
             for i, row in enumerate(rows):
                 if row == 5:
@@ -920,7 +919,7 @@ class TestScreen:
                     assert str(errors[i]) == "row did not converge"
                 elif row:
                     assert type(errors[i]) is StructureError
-                    assert str(errors[i]) == str(expected[i])
+                    assert str(errors[i]) == f"expected 6 rigid-body modes, found {expected[i]}"
                     assert str(errors[i]).endswith(f"found {found[row]}")
             assert np.isfinite(score.value).tolist() == [row == 0 for row in rows]
 
