@@ -39,23 +39,15 @@ class ElementMatrices:
 
 @dataclass(frozen=True)
 class GlobalSystem:
-    """Assembled free-free system: 78x78 stiffness and mass plus the
-    node-to-DOF index table (6 DOFs per node, translations then rotations)."""
+    """Assembled free-free system: 78x78 stiffness and mass, 6 DOFs per
+    node in node order, translations then rotations."""
 
     k_global: np.ndarray
     m_global: np.ndarray
-    dof_map: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k_global", _readonly(self.k_global))
         object.__setattr__(self, "m_global", _readonly(self.m_global))
-        dm = np.asarray(self.dof_map, dtype=int).copy()
-        dm.setflags(write=False)
-        object.__setattr__(self, "dof_map", dm)
-
-    @property
-    def n_dofs(self) -> int:
-        return self.k_global.shape[0]
 
 
 def _bending_stiffness(ei: float, length: float, flip: bool) -> np.ndarray:
@@ -200,5 +192,4 @@ def assemble(
         k_global[np.ix_(idx, idx)] += global_mats.stiffness
         m_global[np.ix_(idx, idx)] += global_mats.mass
 
-    dof_map = np.arange(n).reshape(geometry.n_nodes, DOF_PER_NODE)
-    return GlobalSystem(k_global=k_global, m_global=m_global, dof_map=dof_map)
+    return GlobalSystem(k_global=k_global, m_global=m_global)

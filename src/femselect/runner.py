@@ -24,15 +24,16 @@ from .beam_structure import (
     SEARCH_DIMS,
     ModelSpec,
     build_h_beam_geometry,
-    element_modulus_vector,
     h_beam_section,
     measured_data,
     model_catalog,
     nominal_material,
 )
 from .fem import assemble, beam_element_matrices, element_dof_indices, transform_to_global
-# `solve_generalized_eigen` is not called here (mode shapes come from the
-# mirror blocks); the benchmark tracer patches it by this name.
+# Neither is called here: candidates reach the mirror blocks as class moduli,
+# and mode shapes come from those blocks. The benchmark tracer patches both
+# by these names.
+from .beam_structure import element_modulus_vector  # noqa: F401
 from .modal import solve_generalized_eigen  # noqa: F401
 from .modal import (
     RIGID_BODY_RATIO,
@@ -121,7 +122,6 @@ def preset_config(
     simulation: int,
     seed: int = 0,
     output_dir: str | Path = Path("runs"),
-    emit_mode_shapes: bool = False,
 ) -> ExperimentConfig:
     """Standard settings for simulation 1-4: c1 = c2 = 2 everywhere, the
     objective and inertia mode as tabulated."""
@@ -130,7 +130,6 @@ def preset_config(
         swarm=SwarmConfig(inertia_mode=mode, objective_kind=kind, seed=seed),
         preset=simulation,
         output_dir=Path(output_dir),
-        emit_mode_shapes=emit_mode_shapes,
     )
     cfg.validate()
     return cfg
@@ -217,11 +216,13 @@ class ModelEvaluator:
     of each class of partners are summed and each half is split by the
     mirror (`mirror_standard_form`), which also gives each block's map
     back to the 78 DOFs through its plane's mass root and mirror basis.
-    Only the class blocks and the maps are kept. A candidate's blocks are
-    weighted sums of the class blocks (`_class_sums`), which fitness,
-    `describe` (`spectrum`) and mode shapes (`eigenpairs`) all use; the
-    spectrum is four standard eigenvalue solves of 16 or 23 DOFs, and a
-    batch of candidates shares one eigenvalue call.
+    Only the class blocks and the maps are kept. Fitness, `describe`
+    (`spectrum`) and mode shapes (`eigenpairs`) all take a candidate as a
+    model and a position, whose class moduli `_class_moduli` gathers and
+    checks under the model's cached `_plan`; a candidate's blocks are
+    weighted sums of the class blocks (`_class_sums`). The spectrum is
+    four standard eigenvalue solves of 16 or 23 DOFs, and a batch of
+    candidates shares one eigenvalue call.
 
     Every build yields the same arrays, so a process builds one through
     `_default_evaluator()` and every run, score and description shares
@@ -294,22 +295,18 @@ class ModelEvaluator:
         geometry, material, section = self._frame
         return assemble(geometry, moduli, material, section).k_global
 
-    def _require_mirror(self, per_element: np.ndarray) -> None:
-        """ValueError unless each row of (P, 12) per-element moduli or search
-        dimensions agrees on every mirror pair, as the mirror split needs."""
-        left, right = self._mirror_pairs.T
-        differ = np.any(per_element[:, left] != per_element[:, right], axis=0)
-        if np.any(differ):
-            a, b = self._mirror_pairs[np.argmax(differ)] + 1
-            raise ValueError(f"elements {a} and {b} are mirror partners and need one modulus")
-
     def _derive_plan(self, models: tuple[ModelSpec, ...]) -> tuple[np.ndarray, ...]:
         """Each model's d, and the (P, 9) flat indices into (P, 5) positions
         of its mirror classes' search dimensions, cached per tuple by
         `_plan`. A model whose groups split mirror partners raises
-        ValueError at any position."""
+        ValueError at any position, as the mirror split needs one modulus
+        per pair."""
         dims = np.stack([model.element_dims for model in models])
-        self._require_mirror(dims)
+        left, right = self._mirror_pairs.T
+        differ = np.any(dims[:, left] != dims[:, right], axis=0)
+        if np.any(differ):
+            a, b = self._mirror_pairs[np.argmax(differ)] + 1
+            raise ValueError(f"elements {a} and {b} are mirror partners and need one modulus")
         flat = dims[:, self._classes] + SEARCH_DIMS * np.arange(len(models))[:, None]
         plan = (np.array([model.d for model in models]), flat)
         for arr in plan:
@@ -345,38 +342,32 @@ class ModelEvaluator:
             for blocks in self._mirror_blocks
         )
 
-    def _mirror_classes(self, moduli: np.ndarray) -> np.ndarray:
-        """(1, 9) mirror-class moduli of 12 element moduli; ValueError
-        unless they are finite and agree on every mirror pair."""
-        moduli = np.asarray(moduli, dtype=float)[None]
-        if not np.all(np.isfinite(moduli)):
-            raise ValueError("element moduli must be finite")
-        self._require_mirror(moduli)
-        return moduli[:, self._classes]
-
-    def spectrum(self, moduli: np.ndarray) -> ModalResult:
-        """Free-free frequencies at these element moduli by the planar
-        solve; StructureError unless six rigid-body modes appear."""
-        eigenvalues, errors = self._eigenvalues(self._mirror_classes(moduli))
+    def spectrum(self, model: ModelSpec, position: np.ndarray) -> ModalResult:
+        """Free-free frequencies of one candidate by the mirror blocks. An
+        invalid position or a mirror-splitting model raises ValueError, as
+        in `evaluate`; StructureError unless six rigid-body modes appear."""
+        class_moduli = self._class_moduli(np.asarray(position)[None, None], self._plan((model,)))
+        eigenvalues, errors = self._eigenvalues(class_moduli)
         if errors:
             raise errors[0]
         return free_free_result(eigenvalues[0])
 
-    def eigenpairs(self, moduli: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """`mirror_eigenpairs` at these element moduli: the ascending
-        eigenvalues, each one's block and its block eigenvector, which
+    def eigenpairs(
+        self, model: ModelSpec, position: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """`mirror_eigenpairs` of one candidate: the ascending eigenvalues,
+        each one's block and its block eigenvector, which
         `_mode_maps[block] @ vector` makes an M-normalized mode shape.
-        ValueError unless the moduli are finite and agree on every mirror
-        pair.
+        ValueError as in `evaluate`.
 
-        The blocks are summed at E / max|E| and the eigenvalues scaled back,
+        The blocks are summed at E / max E and the eigenvalues scaled back,
         so the solve sees one input at E and at any s E whose ratios round
         alike (equal moduli always do), and its vectors do not depend on the
         scale of the moduli. Summed at E, the sums, and LAPACK's rescaling
         of a block far from unit norm, would round differently at each
         scale."""
-        class_moduli = self._mirror_classes(moduli)
-        scale = np.abs(class_moduli).max() or 1.0
+        class_moduli = self._class_moduli(np.asarray(position)[None, None], self._plan((model,)))
+        scale = class_moduli.max()
         blocks = tuple(stack[0] for stack in self._class_sums(class_moduli / scale))
         return mirror_eigenpairs(blocks, scale)
 
@@ -770,8 +761,7 @@ def _write_mode_shapes(path: Path, evaluator: ModelEvaluator, record: RunRecord)
     StructureError unless the spectrum shows six rigid-body modes."""
     best = record.ranking[0]
     model = next(m for m in model_catalog() if m.model_id == best.model_id)
-    moduli = element_modulus_vector(model, np.asarray(best.position))
-    eigenvalues, blocks, vectors = evaluator.eigenpairs(moduli)
+    eigenvalues, blocks, vectors = evaluator.eigenpairs(model, best.position)
     free_free_result(eigenvalues)  # StructureError unless six rigid-body modes
     elastic = np.stack([evaluator._mode_maps[b] @ v for b, v in zip(blocks[6:13], vectors[6:13])])
     largest = elastic[np.arange(len(elastic)), np.abs(elastic).argmax(axis=1)]
@@ -839,7 +829,7 @@ def describe(
         else:
             pos = np.asarray(position, dtype=float)
 
-        result = _default_evaluator().spectrum(element_modulus_vector(model, pos))
+        result = _default_evaluator().spectrum(model, pos)
         lines = ["mode,frequency_hz,rigid_body"]
         for i, freq in enumerate(result.frequencies_hz):
             rigid = 1 if i < result.rigid_body_count else 0

@@ -290,7 +290,7 @@ def test_criterion_07_m1_optimum_is_the_least_squares_scale(preset1_runs):
     evaluator, m1 = ModelEvaluator(), model_catalog()[0]
     config = preset1_runs[0][0].swarm
     e0 = 7.2e10
-    nominal = evaluator.spectrum(np.full(12, e0)).frequencies_hz[evaluator._ranks]
+    nominal = evaluator.spectrum(m1, np.full(5, e0)).frequencies_hz[evaluator._ranks]
     measured = evaluator.measured.frequencies_hz
     scale = (measured @ nominal) / (nominal @ nominal)
     best = np.zeros(5)

@@ -306,7 +306,7 @@ class TestPlanarSplit:
             moduli = element_modulus_vector(model, position)
             blocks, _ = planar_standard_form(evaluator.stiffness(moduli)[None], evaluator.m_global)
             reference = generalized_eigenvalues((blocks[0],))
-            mirror = (2.0 * np.pi * evaluator.spectrum(moduli).frequencies_hz) ** 2
+            mirror = (2.0 * np.pi * evaluator.spectrum(model, position).frequencies_hz) ** 2
             np.testing.assert_allclose(
                 mirror[ranks],
                 reference[ranks],
@@ -314,10 +314,10 @@ class TestPlanarSplit:
                 atol=2.0 * np.finfo(float).eps * reference[-1],
             )
 
-    def test_mirror_blocks_keep_the_rigid_modes(self, evaluator):
+    def test_mirror_blocks_keep_the_rigid_modes(self, evaluator, catalog):
         # In-plane: ux symmetric, uy and rz antisymmetric; out-of-plane: uz
         # and ry symmetric, rx antisymmetric.
-        spectrum = evaluator.spectrum(np.full(12, 7.2e10))
+        spectrum = evaluator.spectrum(catalog[0], np.full(5, 7.2e10))
         threshold = RIGID_BODY_RATIO * (2.0 * np.pi * spectrum.frequencies_hz[6]) ** 2
         counts = []
         for blocks in evaluator._mirror_blocks:
@@ -358,9 +358,9 @@ class TestPlanarSplit:
                 if seed is None
                 else np.random.default_rng(seed).uniform(5.5e10, 7.5e10, 5)
             )
-            moduli = element_modulus_vector(catalog[model_index], position)
-            eigenvalues, blocks, vectors = evaluator.eigenpairs(moduli)
-            class_moduli = moduli[evaluator._classes]
+            model = catalog[model_index]
+            eigenvalues, blocks, vectors = evaluator.eigenpairs(model, position)
+            class_moduli = element_modulus_vector(model, position)[evaluator._classes]
             summed = [
                 block
                 for stack in evaluator._mirror_blocks
@@ -370,7 +370,7 @@ class TestPlanarSplit:
             assert np.bincount(blocks).tolist() == [len(w) for w in summed]
             for lam, b, v in zip(eigenvalues, blocks, vectors):
                 assert np.linalg.norm(summed[b] @ v - lam * v) <= 1e-13 * eigenvalues[-1]
-            fitness = (2.0 * np.pi * evaluator.spectrum(moduli).frequencies_hz) ** 2
+            fitness = (2.0 * np.pi * evaluator.spectrum(model, position).frequencies_hz) ** 2
             np.testing.assert_allclose(
                 eigenvalues[6:13],
                 fitness[6:13],
@@ -378,19 +378,15 @@ class TestPlanarSplit:
                 atol=2.0 * np.finfo(float).eps * eigenvalues[-1],
             )
 
-    def test_eigenpairs_report_a_failed_solve_as_convergence_error(self, evaluator, monkeypatch):
+    def test_eigenpairs_report_a_failed_solve_as_convergence_error(
+        self, evaluator, catalog, monkeypatch
+    ):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            evaluator.eigenpairs(np.full(12, 7.2e10))
-
-    def test_spectrum_rejects_moduli_that_break_the_mirror(self, evaluator):
-        moduli = np.full(12, 7.2e10)
-        moduli[11] = 6.0e10
-        with pytest.raises(ValueError, match="elements 11 and 12"):
-            evaluator.spectrum(moduli)
+            evaluator.eigenpairs(catalog[0], np.full(5, 7.2e10))
 
     def test_evaluator_rejects_a_frame_without_mirror_partners(self, monkeypatch):
         real_geometry = runner.build_h_beam_geometry
@@ -421,14 +417,14 @@ class TestPlanarSplit:
             runner.ModelEvaluator()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_evaluator_rejects_non_finite_moduli(self, evaluator, bad):
-        moduli = np.full(12, 7.2e10)
-        moduli[3] = bad
+    def test_evaluator_rejects_non_finite_moduli(self, evaluator, catalog, bad):
+        position = np.full(5, 7.2e10)
+        position[0] = bad
         with pytest.raises(ValueError):
-            evaluator.spectrum(moduli)
+            evaluator.spectrum(catalog[0], position)
 
-    def test_evaluator_spectrum_matches_dense_solve(self, evaluator, h_system):
-        planar = evaluator.spectrum(np.full(12, 7.2e10))
+    def test_evaluator_spectrum_matches_dense_solve(self, evaluator, catalog, h_system):
+        planar = evaluator.spectrum(catalog[0], np.full(5, 7.2e10))
         dense = natural_frequencies(h_system)
         assert planar.rigid_body_count == 6
         np.testing.assert_allclose(planar.frequencies_hz[6:], dense.frequencies_hz[6:], rtol=1e-10)
@@ -468,17 +464,16 @@ class TestMpmathReference:
             float(abs(mpmath.mpf(float(computed[r - 1])) / reference[r - 1] - 1)) for r in ranks
         )
 
-    def test_elastic_ranks_of_both_paths(self, reference, evaluator):
+    def test_elastic_ranks_of_both_paths(self, reference, evaluator, catalog):
         # Measured worst relative eigenvalue errors over ranks 7-13 on
         # OpenBLAS 0.3.31 (Haswell kernels): planar 3.9e-13, dense 7.8e-12.
         mpmath, exact = reference
-        moduli = np.full(12, 7.2e10)
         system = GlobalSystem(
-            k_global=evaluator.stiffness(moduli),
+            k_global=evaluator.stiffness(np.full(12, 7.2e10)),
             m_global=evaluator.m_global,
-            dof_map=np.arange(78).reshape(13, 6),
         )
-        planar = (2.0 * np.pi * evaluator.spectrum(moduli).frequencies_hz) ** 2
+        spectrum = evaluator.spectrum(catalog[0], np.full(5, 7.2e10))
+        planar = (2.0 * np.pi * spectrum.frequencies_hz) ** 2
         dense = (2.0 * np.pi * natural_frequencies(system).frequencies_hz) ** 2
         ranks = range(7, 14)
         assert self._worst_relative_error(mpmath, planar, exact, ranks) <= 5e-12
@@ -558,7 +553,6 @@ class TestNaturalFrequencies:
         shifted = GlobalSystem(
             k_global=h_system.k_global + 1e6 * h_system.m_global,
             m_global=h_system.m_global,
-            dof_map=h_system.dof_map,
         )
         with pytest.raises(StructureError):
             natural_frequencies(shifted)

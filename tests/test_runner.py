@@ -302,6 +302,15 @@ class TestEvaluateModel:
         assert soft.value != stiff.value
 
 
+# Position values in an active dimension that every candidate path rejects,
+# with the message each one gives.
+FINITE = "element moduli must be finite"
+POSITIVE = "active position dimensions must be positive moduli"
+BAD_VALUES = [(math.nan, FINITE), (math.inf, FINITE), (0.0, POSITIVE), (-7.2e10, POSITIVE)]
+# Elements 2 and 3 are mirror partners; no catalog model splits them.
+MIRROR_SPLIT = ModelSpec(9, (frozenset({2}), frozenset(set(range(1, 13)) - {2})), 2)
+
+
 class TestModelEvaluator:
     def test_mass_equals_assembled_mass(self, evaluator, geometry, material, section):
         direct = assemble(geometry, np.full(12, 6.4e10), material, section)
@@ -319,6 +328,30 @@ class TestModelEvaluator:
             evaluator.m_global[0, 0] = 1.0
         for array in (*evaluator._mirror_blocks, *evaluator._mode_maps, evaluator._ranks):
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "model, value, message",
+        [
+            *((model_catalog()[4], value, message) for value, message in BAD_VALUES),
+            (MIRROR_SPLIT, 7.2e10, "elements 2 and 3 are mirror partners and need one modulus"),
+        ],
+        ids=["nan", "inf", "zero", "negative", "mirror_split"],
+    )
+    def test_every_candidate_path_rejects_alike(self, evaluator, model, value, message):
+        # Fitness, `describe` and mode shapes share one validator: the same
+        # candidate fails each of them with the same text. The last case is
+        # a valid position of a model that splits a mirror pair.
+        position = np.full(5, 7.2e10)
+        position[4] = value  # active for model 5
+        calls = (
+            lambda: evaluator.evaluate(model, position, "AIC"),
+            lambda: evaluator.spectrum(model, position),
+            lambda: evaluator.eigenpairs(model, position),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
 
 
 def in_bound_positions(seed: int, n: int = 8) -> np.ndarray:
@@ -402,13 +435,11 @@ class TestEvaluateBatch:
             assert batch.sigma_squared[i] == reference.sigma_squared
 
     def test_rejects_a_model_that_breaks_the_mirror(self, evaluator):
-        # Elements 2 and 3 are mirror partners; no catalog model splits them.
-        model = ModelSpec(9, (frozenset({2}), frozenset(set(range(1, 13)) - {2})), 2)
         with pytest.raises(ValueError, match="elements 2 and 3"):
-            evaluator.evaluate_batch((model,), in_bound_positions(0, 1), "AIC")
+            evaluator.evaluate_batch((MIRROR_SPLIT,), in_bound_positions(0, 1), "AIC")
         # The groups decide, not the values: equal moduli on the split too.
         with pytest.raises(ValueError, match="elements 2 and 3"):
-            evaluator.evaluate_batch((model,), np.full((1, 5), 7.0e10), "AIC")
+            evaluator.evaluate_batch((MIRROR_SPLIT,), np.full((1, 5), 7.0e10), "AIC")
 
     def test_rejects_invalid_positions(self, evaluator, catalog):
         positions = in_bound_positions(0)
@@ -879,7 +910,7 @@ class TestScreen:
         # solve fails (nan), scored one at a time and all together: `_score`
         # names the same rows as `rigid_body_count` of each whole spectrum,
         # each with its count, and a failed row keeps its ConvergenceError.
-        real = evaluator.spectrum(element_modulus_vector(catalog[0], np.full(5, 6.5e10)))
+        real = evaluator.spectrum(catalog[0], np.full(5, 6.5e10))
         base = (2.0 * np.pi * real.frequencies_hz) ** 2
         spectra = np.tile(base, (6, 1))
         spectra[0, :6] = np.linspace(-1e-3, 1e-3, 6)  # six
@@ -1430,6 +1461,13 @@ class TestCli:
 
     def test_describe_position_must_have_five_values(self, capsys):
         assert main(["describe", "modal", "--model", "1", "--position", "1,2"]) == 2
+
+    @pytest.mark.parametrize("value, message", BAD_VALUES)
+    def test_describe_rejects_a_bad_position(self, capsys, value, message):
+        position = ",".join(str(v) for v in [7.2e10] * 4 + [value])
+        assert main(["describe", "modal", "--model", "5", "--position", position]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2
