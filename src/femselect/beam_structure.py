@@ -203,17 +203,15 @@ def build_h_beam_geometry() -> BeamGeometry:
 @dataclass(frozen=True)
 class ModelSpec:
     """One competing parameterization: an ordered partition of the element
-    ids into `d` groups that share a modulus value."""
+    ids into groups that share a modulus value. Its `d` (the number of
+    groups) and `element_dims` (the group of each element) are derived."""
 
     model_id: int
     groups: tuple[frozenset[int], ...]
-    d: int
-    # The search dimension that feeds each element, in element-id order.
+    d: int = field(init=False)
     element_dims: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.d != len(self.groups):
-            raise ValueError("d must equal the number of groups")
         all_ids: set[int] = set()
         for group in self.groups:
             if all_ids & group:
@@ -225,6 +223,7 @@ class ModelSpec:
         for j, group in enumerate(self.groups):
             dims[[element_id - 1 for element_id in group]] = j
         dims.setflags(write=False)
+        object.__setattr__(self, "d", len(self.groups))
         object.__setattr__(self, "element_dims", dims)
 
 
@@ -252,7 +251,7 @@ def model_catalog() -> tuple[ModelSpec, ...]:
     `element_dims` read-only.
     """
     return tuple(
-        ModelSpec(i + 1, tuple(frozenset(g) for g in groups), len(groups))
+        ModelSpec(i + 1, tuple(frozenset(g) for g in groups))
         for i, groups in enumerate(_CATALOG_GROUPS)
     )
 

@@ -127,8 +127,12 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value led by "-" (a negative modulus) as an option.
+    while "--position" in argv[:-1]:
+        i = argv.index("--position")
+        argv[i : i + 2] = [f"--position={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -32,7 +32,7 @@ from .fem import GlobalSystem
 RIGID_BODY_RATIO = 1e-6
 # Relative residual every pair of the dense solve must meet.
 RESIDUAL_TOLERANCE = 1e-9
-_EXPECTED_RIGID_MODES = 6
+RIGID_MODES = 6
 # Per-node DOFs (ux, uy, uz, rx, ry, rz) that stay in the z = 0 plane,
 # and the others, each in ascending order as `planar_dof_split` keeps them.
 _IN_PLANE_DOFS = (0, 1, 5)
@@ -69,11 +69,10 @@ class StructureError(EigenSolveError):
 
 @dataclass(frozen=True)
 class ModalResult:
-    """Ascending natural frequencies of an assembled system, with the
-    rigid-body cluster counted."""
+    """Ascending natural frequencies, in Hz, of an assembled free-free
+    system; the first RIGID_MODES of them are its rigid-body modes."""
 
     frequencies_hz: np.ndarray
-    rigid_body_count: int
 
 
 def _check_pair(k: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,9 +96,9 @@ def rigid_body_count(eigenvalues: np.ndarray) -> int:
     """Modes of one ascending spectrum whose eigenvalue falls below
     RIGID_BODY_RATIO times the seventh-smallest eigenvalue. Zero when
     fewer than seven modes exist."""
-    if len(eigenvalues) < _EXPECTED_RIGID_MODES + 1:
+    if len(eigenvalues) < RIGID_MODES + 1:
         return 0
-    return int(np.sum(eigenvalues < RIGID_BODY_RATIO * eigenvalues[_EXPECTED_RIGID_MODES]))
+    return int(np.sum(eigenvalues < RIGID_BODY_RATIO * eigenvalues[RIGID_MODES]))
 
 
 def rigid_mode_errors(eigenvalues: np.ndarray) -> dict[int, StructureError]:
@@ -115,7 +114,7 @@ def rigid_mode_errors(eigenvalues: np.ndarray) -> dict[int, StructureError]:
     six = (lam_5 < t) & ~(lam_6 < t)
     return {
         i: StructureError(
-            f"expected {_EXPECTED_RIGID_MODES} rigid-body modes, "
+            f"expected {RIGID_MODES} rigid-body modes, "
             f"found {rigid_body_count(eigenvalues[i])}"
         )
         for i in np.flatnonzero(~six).tolist()
@@ -378,16 +377,13 @@ def frequencies_from_eigenvalues(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def free_free_result(eigenvalues: np.ndarray) -> ModalResult:
-    """Frequencies of an ascending free-free spectrum.
+    """The frequencies of an ascending free-free spectrum, as a ModalResult.
 
     Raises StructureError unless exactly six rigid-body modes are present.
     """
     if errors := rigid_mode_errors(eigenvalues[None]):
         raise errors[0]
-    return ModalResult(
-        frequencies_hz=frequencies_from_eigenvalues(eigenvalues),
-        rigid_body_count=_EXPECTED_RIGID_MODES,
-    )
+    return ModalResult(frequencies_from_eigenvalues(eigenvalues))
 
 
 def natural_frequencies(system: GlobalSystem) -> ModalResult:
@@ -415,7 +411,5 @@ def select_modes(result: ModalResult, measured: MeasuredData) -> np.ndarray:
             f"need at least {max(measured.mode_indices)} modes, "
             f"got {len(result.frequencies_hz)}"
         )
-    if result.rigid_body_count != _EXPECTED_RIGID_MODES:
-        raise ValueError("mode selection requires a free-free result with six rigid-body modes")
     ranks = np.asarray(measured.mode_indices) - 1
     return result.frequencies_hz[ranks]

@@ -22,15 +22,14 @@ SIGMA_SQ_FLOOR = 1e-12  # Hz^2, guards log(0) on a perfect fit
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """A scored fitness. `value` is dimensionless for AIC, Hz^2 for SSE;
-    `sigma_squared` is the mean squared residual either way. Scoring a
-    (P, n) stack of residual vectors gives one ObjectiveValue whose
-    `value`, `sigma_squared` and `d` are (P,) arrays."""
+    """A scored fitness: its kind, `value` (dimensionless for AIC, Hz^2
+    for SSE), the mean squared residual `sigma_squared` and the residual
+    count n. Scoring a (P, n) stack of residual vectors gives `value` and
+    `sigma_squared` as (P,) arrays."""
 
     kind: ObjectiveKind
     value: float | np.ndarray
     sigma_squared: float | np.ndarray
-    d: int | np.ndarray | None
     n: int
 
 
@@ -51,8 +50,10 @@ def _scalar(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
 
-def sse(residual_vector: np.ndarray, d: int | np.ndarray | None = None) -> ObjectiveValue:
-    """Half the squared residual sum; blind to model complexity."""
+def sse(residual_vector: np.ndarray, d: object = None) -> ObjectiveValue:
+    """Half the squared residual sum of one residual vector or a (P, n)
+    stack; blind to model complexity. `d` is ignored (`perfbench/checks.py`
+    passes one)."""
     r = np.asarray(residual_vector, dtype=float)
     n = r.shape[-1]
     total = np.add.reduce(r * r, axis=-1)
@@ -60,7 +61,6 @@ def sse(residual_vector: np.ndarray, d: int | np.ndarray | None = None) -> Objec
         kind="SSE",
         value=_scalar(total / 2.0),
         sigma_squared=_scalar(total / n),
-        d=d,
         n=n,
     )
 
@@ -94,6 +94,5 @@ def aic(residual_vector: np.ndarray, d: int | np.ndarray) -> ObjectiveValue:
         kind="AIC",
         value=_scalar(value),
         sigma_squared=_scalar(sigma_squared),
-        d=d,
         n=n,
     )

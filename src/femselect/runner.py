@@ -37,6 +37,7 @@ from .beam_structure import element_modulus_vector  # noqa: F401
 from .modal import solve_generalized_eigen  # noqa: F401
 from .modal import (
     RIGID_BODY_RATIO,
+    RIGID_MODES,
     ConvergenceError,
     EigenSolveError,
     ModalResult,
@@ -380,8 +381,9 @@ class ModelEvaluator:
         """Score row i of the (P, 5) positions as models[i]: class moduli
         -> whitened mirror blocks -> eigenvalues -> measured-rank
         frequencies -> residuals -> objective, with one eigenvalue call
-        for all rows. Returns the scores as (P,) arrays and the eigensolver
-        error of each failed row, whose score is nan. Invalid positions and
+        for all rows. Returns one ObjectiveValue whose `value` and
+        `sigma_squared` are (P,) arrays, nan in each failed row, and each
+        failed row's eigensolver error by row index. Invalid positions and
         mirror-splitting models raise ValueError. A row's score does not
         depend on the other rows."""
         plan = self._plan(tuple(models))
@@ -417,7 +419,7 @@ class ModelEvaluator:
         # A failed solve's error, not its nan row's structure error, names it.
         errors = {**rigid_mode_errors(eigenvalues), **errors}
         r = residuals(self.measured, frequencies_from_eigenvalues(eigenvalues[:, self._ranks]))
-        score = aic(r, d) if objective_kind == "AIC" else sse(r, d)
+        score = aic(r, d) if objective_kind == "AIC" else sse(r)
         if errors:
             failed = list(errors)
             score.value[failed] = math.nan
@@ -438,10 +440,7 @@ class ModelEvaluator:
         if errors:
             raise errors[0]
         return dataclasses.replace(
-            score,
-            value=float(score.value[0]),
-            sigma_squared=float(score.sigma_squared[0]),
-            d=model.d,
+            score, value=float(score.value[0]), sigma_squared=float(score.sigma_squared[0])
         )
 
 
@@ -832,7 +831,7 @@ def describe(
         result = _default_evaluator().spectrum(model, pos)
         lines = ["mode,frequency_hz,rigid_body"]
         for i, freq in enumerate(result.frequencies_hz):
-            rigid = 1 if i < result.rigid_body_count else 0
+            rigid = 1 if i < RIGID_MODES else 0
             lines.append(f"{i + 1},{_format_number(float(freq))},{rigid}")
         return "\n".join(lines) + "\n"
 

@@ -168,6 +168,9 @@ class TestModelCatalog:
     def test_parameter_counts(self, catalog):
         assert [m.d for m in catalog] == [1, 2, 3, 4, 5, 2, 2, 3]
 
+    def test_every_d_is_the_number_of_groups(self, catalog):
+        assert all(m.d == len(m.groups) for m in catalog)
+
     def test_every_model_partitions_the_elements(self, catalog):
         for model in catalog:
             ids = sorted(i for group in model.groups for i in group)
@@ -224,17 +227,18 @@ class TestModelCatalog:
 
 
 class TestModelSpec:
-    def test_rejects_wrong_d(self):
-        with pytest.raises(ValueError):
-            ModelSpec(1, (frozenset(range(1, 13)),), 2)
+    def test_d_is_derived_from_the_groups(self):
+        assert ModelSpec(1, (frozenset(range(1, 13)),)).d == 1
+        with pytest.raises(TypeError):
+            ModelSpec(1, (frozenset(range(1, 13)),), 1)
 
     def test_rejects_overlapping_groups(self):
         with pytest.raises(ValueError):
-            ModelSpec(1, (frozenset({1, 2}), frozenset(range(2, 13))), 2)
+            ModelSpec(1, (frozenset({1, 2}), frozenset(range(2, 13))))
 
     def test_rejects_incomplete_partition(self):
         with pytest.raises(ValueError):
-            ModelSpec(1, (frozenset(range(1, 12)),), 1)
+            ModelSpec(1, (frozenset(range(1, 12)),))
 
 
 class TestElementModulusVector:

@@ -44,10 +44,6 @@ class TestSse:
         assert out.sigma_squared == 11.0
         assert out.kind == "SSE"
         assert out.n == 5
-        assert out.d is None
-
-    def test_d_passthrough(self):
-        assert sse(np.zeros(5), d=3).d == 3
 
     def test_zero_residuals(self):
         out = sse(np.zeros(5))
@@ -71,7 +67,6 @@ class TestAic:
         r = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         out = aic(r, d=2)
         assert out.kind == "AIC"
-        assert out.d == 2
         assert out.n == 5
         assert out.sigma_squared == pytest.approx(11.0, rel=1e-15)
         assert out.value == pytest.approx(5.0 * math.log(11.0) + 4.0, rel=1e-12)
@@ -116,7 +111,7 @@ class TestAic:
 
 class TestObjectiveValue:
     def test_frozen(self):
-        out = ObjectiveValue(kind="SSE", value=1.0, sigma_squared=0.4, d=None, n=5)
+        out = ObjectiveValue(kind="SSE", value=1.0, sigma_squared=0.4, n=5)
         with pytest.raises(AttributeError):
             out.value = 2.0
 

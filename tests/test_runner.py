@@ -308,7 +308,7 @@ FINITE = "element moduli must be finite"
 POSITIVE = "active position dimensions must be positive moduli"
 BAD_VALUES = [(math.nan, FINITE), (math.inf, FINITE), (0.0, POSITIVE), (-7.2e10, POSITIVE)]
 # Elements 2 and 3 are mirror partners; no catalog model splits them.
-MIRROR_SPLIT = ModelSpec(9, (frozenset({2}), frozenset(set(range(1, 13)) - {2})), 2)
+MIRROR_SPLIT = ModelSpec(9, (frozenset({2}), frozenset(set(range(1, 13)) - {2})))
 
 
 class TestModelEvaluator:
@@ -390,7 +390,7 @@ def row_by_row_score(evaluator, model, position, kind):
     eigenvalues = generalized_eigenvalues(blocks)
     assert rigid_body_count(eigenvalues) == 6
     r = residuals(evaluator.measured, frequencies_from_eigenvalues(eigenvalues)[evaluator._ranks])
-    return aic(r, model.d) if kind == "AIC" else sse(r, model.d)
+    return aic(r, model.d) if kind == "AIC" else sse(r)
 
 
 class TestEvaluateBatch:
@@ -1462,12 +1462,14 @@ class TestCli:
     def test_describe_position_must_have_five_values(self, capsys):
         assert main(["describe", "modal", "--model", "1", "--position", "1,2"]) == 2
 
-    @pytest.mark.parametrize("value, message", BAD_VALUES)
+    @pytest.mark.parametrize("value, message", [*BAD_VALUES, (-math.inf, POSITIVE)])
     def test_describe_rejects_a_bad_position(self, capsys, value, message):
-        position = ",".join(str(v) for v in [7.2e10] * 4 + [value])
-        assert main(["describe", "modal", "--model", "5", "--position", position]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        # Last or first: a value list that starts with "-" is no option.
+        for values in ([7.2e10] * 4 + [value], [value] + [7.2e10] * 4):
+            position = ",".join(str(v) for v in values)
+            assert main(["describe", "modal", "--model", "5", "--position", position]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == 2

@@ -83,6 +83,18 @@ def test_check_sees_unused_and_used_imports():
     assert unused_imports(source) == ["inf", "os"]
 
 
+def test_package_exports_exactly_what_it_imports():
+    # A name dropped from a module, or from the imports, cannot linger here.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert femselect.__all__ == sorted(imported)
+
+
 def test_package_reads_every_private_name_it_defines():
     unread = unread_private_names([path.read_text() for path in SOURCES])
     assert unread == [], f"femselect defines private names it never reads: {unread}"
